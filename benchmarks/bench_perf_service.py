@@ -6,12 +6,13 @@ Two guards back the sharded, queue-driven multi-tenant service
 * **sharded vs. single** — a ~1000-session customer fleet (420 recurrent
   workloads, mixed priority classes) driven for 10 suggest/observe rounds
   against (a) one shard draining scalar requests one at a time — the
-  pre-service deployment — and (b) a 4-shard service with batched drains,
-  serial and with thread-parallel shard drains.  Service throughput
-  (completed requests per second of drain wall-clock, client-side simulator
-  time excluded) for the parallel-drain sharded arm must be >= 3x the
-  single-backend baseline.  ``diff_sharded_single`` separately pins that
-  the two arms are *bit-identical* per tenant; this file only measures.
+  pre-service deployment — (b) a 4-shard service with batched drains, and
+  (c) the same with a ``Guardrail()`` on every session, the production
+  configuration.  Service throughput (completed requests per second of
+  drain wall-clock, client-side simulator time excluded) of arm (b) must be
+  >= 3x the single-backend baseline, and arm (c) must serve every session
+  on the batched drain.  ``diff_sharded_single`` separately pins that the
+  arms are *bit-identical* per tenant; this file only measures.
 * **overload** — the same fleet shape against deliberately undersized
   ingress queues so priority admission control sheds under load.  Load
   shedding must actually engage (``shed_rate > 0``), nothing may be lost
@@ -22,12 +23,13 @@ Two guards back the sharded, queue-driven multi-tenant service
 Results land in ``BENCH_service.json`` at the repo root (rendered in
 docs/service.md).  Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the fleet and
 skip the wall-clock guards — bookkeeping invariants (request conservation,
-shedding engages, nothing lost) are still asserted; timing ratios on a
-loaded shared runner are not meaningful.
+shedding engages, nothing lost, every guarded session batched) are still
+asserted; timing ratios on a loaded shared runner are not meaningful.
 """
 
 import os
 
+from repro.core.guardrail import Guardrail
 from repro.service.fleet import (
     build_fleet,
     default_optimizer_factory,
@@ -60,17 +62,19 @@ MIN_SHARDED_SPEEDUP = 3.0
 P99_OVERLOAD_FACTOR = 25.0
 
 
-def _service(fleet, n_shards, *, coalesce=True, queue_capacity=None):
+def _service(fleet, n_shards, *, coalesce=True, guarded=False, queue_capacity=None):
     return ShardedAutotuneService(
         n_shards,
-        default_optimizer_factory(fleet, base_seed=SEED),
+        default_optimizer_factory(
+            fleet, base_seed=SEED, guardrail_factory=Guardrail if guarded else None,
+        ),
         user_id_fn=fleet_user_map(fleet),
         coalesce=coalesce,
         queue_capacity=queue_capacity or max(4096, 4 * len(fleet)),
     )
 
 
-def _run_arm(n_shards, *, coalesce, parallel_drain, queue_capacity=None,
+def _run_arm(n_shards, *, coalesce, guarded=False, queue_capacity=None,
              n_workloads=N_WORKLOADS, n_iterations=N_ITERATIONS,
              max_shed_retries=8):
     # Each arm gets a freshly built fleet: FleetSession simulators are
@@ -78,68 +82,68 @@ def _run_arm(n_shards, *, coalesce, parallel_drain, queue_capacity=None,
     # state between measurements.
     fleet = build_fleet(n_workloads, seed=SEED)
     service = _service(
-        fleet, n_shards, coalesce=coalesce, queue_capacity=queue_capacity
+        fleet, n_shards, coalesce=coalesce, guarded=guarded,
+        queue_capacity=queue_capacity,
     )
     report = run_fleet(
-        service, fleet, n_iterations, parallel_drain=parallel_drain,
-        max_shed_retries=max_shed_retries,
+        service, fleet, n_iterations, max_shed_retries=max_shed_retries,
     )
     return service, report
 
 
 def test_sharded_throughput_vs_single_backend(service_results):
-    single_service, single = _run_arm(1, coalesce=False, parallel_drain=False)
-    serial_service, serial = _run_arm(N_SHARDS, coalesce=True, parallel_drain=False)
-    parallel_service, parallel = _run_arm(N_SHARDS, coalesce=True, parallel_drain=True)
+    single_service, single = _run_arm(1, coalesce=False)
+    serial_service, serial = _run_arm(N_SHARDS, coalesce=True)
+    guarded_service, guarded = _run_arm(N_SHARDS, coalesce=True, guarded=True)
 
     speedup_serial = serial.service_throughput_rps / single.service_throughput_rps
-    speedup_parallel = parallel.service_throughput_rps / single.service_throughput_rps
-    # Thread-parallel drains only pay off with spare cores; on a single-CPU
-    # runner the serial batched arm is the faster deployment.  The guard is
-    # on the best sharded configuration.
-    best_speedup = max(speedup_serial, speedup_parallel)
+    speedup_guarded = guarded.service_throughput_rps / single.service_throughput_rps
+    guarded_shards = guarded_service.metrics()["service"]["shards"].values()
 
     service_results["fleet"] = {
         "n_workloads": N_WORKLOADS,
-        "n_sessions": parallel.n_sessions,
+        "n_sessions": serial.n_sessions,
         "n_iterations": N_ITERATIONS,
         "n_shards": N_SHARDS,
         "single_backend": single.to_dict(),
         "sharded_serial": serial.to_dict(),
-        "sharded_parallel": parallel.to_dict(),
+        "sharded_guarded": guarded.to_dict(),
         "speedup_serial": speedup_serial,
-        "speedup_parallel": speedup_parallel,
-        "speedup_best": best_speedup,
+        "speedup_guarded": speedup_guarded,
+        "guarded_batched_sessions": sum(s["batched_sessions"] for s in guarded_shards),
         "min_speedup_guard": MIN_SHARDED_SPEEDUP,
         "smoke_mode": SMOKE_MODE,
     }
 
     # Bookkeeping invariants hold in every mode: same work completed on
-    # every arm, nothing shed or lost with ample queues.
-    expected = parallel.n_sessions * N_ITERATIONS * 2
-    for report in (single, serial, parallel):
+    # every arm, nothing shed or lost with ample queues, and the guarded
+    # fleet served entirely by the batched drain.
+    expected = serial.n_sessions * N_ITERATIONS * 2
+    for report in (single, serial, guarded):
         assert report.n_requests == expected
         assert report.lost_requests == 0
         assert report.shed_events == 0
-    for service in (serial_service, parallel_service):
+    for service in (serial_service, guarded_service):
         skew = service.metrics()["service"]["utilization_skew"]
         assert skew < 2.5, f"shard utilization skew {skew:.2f} out of bounds"
+    for shard in guarded_shards:
+        assert shard["fallback_sessions"] == 0
+        assert shard["batched_sessions"] == shard["sessions"]
 
     if not SMOKE_MODE:
-        assert best_speedup >= MIN_SHARDED_SPEEDUP, (
-            f"sharded({N_SHARDS}) throughput only {best_speedup:.2f}x the "
-            f"single-backend baseline (floor {MIN_SHARDED_SPEEDUP}x; "
-            f"serial {speedup_serial:.2f}x, parallel {speedup_parallel:.2f}x)"
+        assert speedup_serial >= MIN_SHARDED_SPEEDUP, (
+            f"sharded({N_SHARDS}) throughput only {speedup_serial:.2f}x the "
+            f"single-backend baseline (floor {MIN_SHARDED_SPEEDUP}x)"
         )
 
 
 def test_overload_sheds_without_loss_and_bounded_p99(service_results):
     _, baseline = _run_arm(
-        N_SHARDS, coalesce=True, parallel_drain=False,
+        N_SHARDS, coalesce=True,
         n_workloads=OVERLOAD_WORKLOADS, n_iterations=OVERLOAD_ITERATIONS,
     )
     overload_service, overload = _run_arm(
-        N_SHARDS, coalesce=True, parallel_drain=False,
+        N_SHARDS, coalesce=True,
         queue_capacity=OVERLOAD_QUEUE_CAPACITY,
         n_workloads=OVERLOAD_WORKLOADS, n_iterations=OVERLOAD_ITERATIONS,
         max_shed_retries=OVERLOAD_RETRY_BUDGET,

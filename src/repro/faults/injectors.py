@@ -276,13 +276,13 @@ class FaultyShardedService(_Delegate):
             return verdict
         return self.inner.submit(request)
 
-    def drain_all(self, parallel: bool = False):
+    def drain_all(self):
         if self.plan.should_fire(FaultKind.SHARD_OUTAGE) and self.inner.n_shards > 1:
             rng = self.plan.rng_for(FaultKind.SHARD_OUTAGE)
             shard_ids = self.inner.shard_ids
             victim = shard_ids[int(rng.integers(0, len(shard_ids)))]
             self.inner.fail_shard(victim)
-        return self.inner.drain_all(parallel=parallel)
+        return self.inner.drain_all()
 
     def call(self, request):
         from ..service.admission import ShedError

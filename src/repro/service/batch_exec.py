@@ -1,9 +1,10 @@
 """Batched drain execution: coalesce co-tenant requests into batched fits.
 
 A shard drain hands this module a *run* of requests touching pairwise
-distinct sessions.  For every session whose optimizer matches the plain
-production shape (:func:`batch_profile_for`), the per-request window-model
-work is coalesced across the run:
+distinct sessions.  For every session whose optimizer matches the
+production shape (:func:`batch_profile_for`: Centroid Learning with the
+default window model and selector, guardrail or not), the per-request
+window-model work is coalesced across the run:
 
 * one :func:`repro.ml.batched.fit_ridge_pipeline` call fits every window
   model the run needs (grouped by window length — ``slice k`` of a batched
@@ -18,10 +19,14 @@ same RNG draws (`generate_candidates` consumes each session's own
 generator), same telemetry counters, same tie-breaking ``argmin``/``argmax``
 — so the per-session observation/counter trail is bit-identical to
 request-by-request :class:`~repro.service.sessions.TenantSessionHost`
-calls.  The ``diff_sharded_single`` oracle (:mod:`repro.verify.diff`) pins
-this end to end; sessions that don't match the profile (guardrails,
-detectors, safe gates, custom selectors/models) silently fall back to the
-scalar path.
+calls.  A guardrail is not replayed but *called*: the observe phase runs
+each session's own ``Guardrail.update`` in the scalar order (append, then
+guardrail, then the window check), so the guardrail logic exists once, in
+:mod:`repro.core.guardrail`.  The ``diff_sharded_single`` oracle
+(:mod:`repro.verify.diff`) pins this end to end.  Sessions that don't match
+the profile (switch detectors, safe gates, custom selectors/models) take
+the scalar path, :func:`apply_scalar`; the drain counts each one once as
+``service.batch.fallback_sessions{reason=...}``.
 
 Fitted batch parameters are memoized per window at
 ``window.__dict__["_batched_window_params"]`` keyed by the window's append
@@ -33,7 +38,7 @@ fit per observation, exactly like the scalar path's memo cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from ..ml.linear import PolynomialFeatures, RidgeRegression
 from ..ml.scaler import Pipeline, StandardScaler
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
-__all__ = ["BatchProfile", "batch_profile_for", "execute_run"]
+__all__ = ["BatchProfile", "apply_scalar", "batch_profile_for", "execute_run"]
 
 _PARAMS_ATTR = "_batched_window_params"
 
@@ -69,50 +74,57 @@ class BatchProfile:
     deltas: np.ndarray  # the FIND_GRADIENT sign set D for this dim
 
 
-def batch_profile_for(optimizer: Optimizer) -> Optional[BatchProfile]:
-    """Probe whether ``optimizer`` is exactly the plain production shape.
+def batch_profile_for(optimizer: Optimizer) -> Union[BatchProfile, str]:
+    """Probe whether the batched drain can serve ``optimizer``'s requests.
 
-    Batching replays `CentroidLearning`'s default flow; anything that adds
-    behavior to suggest/observe — guardrails, switch detectors, safe gates,
-    baselines, non-default selectors/acquisitions/modes — routes the session
-    to the scalar fallback instead.  Returns ``None`` when ineligible.
+    Batching replays `CentroidLearning`'s default flow: MODEL-mode
+    FIND_BEST, Eq.-6 span probes, and the default surrogate selector (mean
+    acquisition, no baseline) over a scaled polynomial ridge window model.
+    A :class:`~repro.core.guardrail.Guardrail` of any setting is eligible,
+    because the batched observe phase calls the session's own
+    ``Guardrail.update``.  Anything else that adds behavior to
+    suggest/observe — switch detectors, safe gates, baselines, non-default
+    selectors/acquisitions/modes/models — keeps the session on the scalar
+    path.
+
+    Returns the session's :class:`BatchProfile`, or the reason it is
+    ineligible as a short label (``"switch_detector"``, ``"safe_gate"``,
+    ``"selector"``, ...), the ``reason`` of the
+    ``service.batch.fallback_sessions`` counter.
     """
     if type(optimizer) is not CentroidLearning:
-        return None
-    if (
-        optimizer.guardrail is not None
-        or optimizer.switch_detector is not None
-        or optimizer.safe_gate is not None
-    ):
-        return None
+        return "optimizer"
+    if optimizer.switch_detector is not None:
+        return "switch_detector"
+    if optimizer.safe_gate is not None:
+        return "safe_gate"
     if optimizer.find_best_mode is not FindBestMode.MODEL:
-        return None
+        return "find_best_mode"
     if optimizer.gradient_mode != "ml" or optimizer.probe != "span":
-        return None
+        return "gradient"
     if optimizer.space.dim > _MAX_ENUM_DIM:
-        return None
+        return "dim"
     selector = optimizer.selector
-    if type(selector) is not SurrogateSelector:
-        return None
-    if selector.baseline is not None:
-        return None
-    if type(selector.acquisition) is not MeanMinimizer:
-        return None
-    if selector.model_factory is not optimizer.model_factory:
-        return None
+    if (
+        type(selector) is not SurrogateSelector
+        or selector.baseline is not None
+        or type(selector.acquisition) is not MeanMinimizer
+        or selector.model_factory is not optimizer.model_factory
+    ):
+        return "selector"
     try:
         probe = optimizer.model_factory()
     except Exception:  # noqa: BLE001 — an exploding factory is "not batchable"
-        return None
+        return "model"
     if type(probe) is not Pipeline or len(probe.steps) != 3:
-        return None
+        return "model"
     scaler, poly, ridge = (step for _, step in probe.steps)
     if (
         type(scaler) is not StandardScaler
         or type(poly) is not PolynomialFeatures
         or type(ridge) is not RidgeRegression
     ):
-        return None
+        return "model"
     bounds = optimizer.space.internal_bounds
     dim = optimizer.space.dim
     return BatchProfile(
@@ -141,7 +153,7 @@ def _ensure_window_models(
     :func:`fit_ridge_pipeline` call per ``(n, features, degree)`` group.
     """
     params: List[Optional[_Params]] = [None] * len(entries)
-    groups: Dict[Tuple[int, int, int, bool], List[int]] = {}
+    groups: Dict[Tuple[int, int, int, bool], List[Tuple[int, np.ndarray]]] = {}
     for i, (session, profile) in enumerate(entries):
         window = session.optimizer.observations
         cached = window.__dict__.get(_PARAMS_ATTR)
@@ -150,17 +162,14 @@ def _ensure_window_models(
             continue
         X = window.design_matrix()
         key = (X.shape[0], X.shape[1], profile.degree, profile.interaction_only)
-        groups.setdefault(key, []).append(i)
-    for (n, f, degree, interaction_only), members in groups.items():
-        stacked_X = np.empty((len(members), n, f))
-        stacked_y = np.empty((len(members), n))
-        alphas = np.empty(len(members))
-        for j, i in enumerate(members):
-            session, profile = entries[i]
-            window = session.optimizer.observations
-            stacked_X[j] = window.design_matrix()
-            stacked_y[j] = window.performances()
-            alphas[j] = profile.alpha
+        groups.setdefault(key, []).append((i, X))
+    for (_, _, degree, interaction_only), group in groups.items():
+        members = [i for i, _ in group]
+        stacked_X = np.stack([X for _, X in group])
+        stacked_y = np.array([
+            entries[i][0].optimizer.observations.performances() for i in members
+        ], dtype=float)
+        alphas = np.array([entries[i][1].alpha for i in members])
         fitted = fit_ridge_pipeline(
             stacked_X, stacked_y, alphas, degree=degree,
             interaction_only=interaction_only,
@@ -215,14 +224,23 @@ def execute_run(
     Distinctness is the caller's contract — it makes intra-run order
     irrelevant (sessions are independent), which is what lets suggests and
     observes regroup into batched phases without changing any trail.
+
+    A session is probed once, on its first request; an ineligible one is
+    counted as ``service.batch.fallback_sessions{reason=...}`` and from
+    then on served by :func:`apply_scalar`.
     """
     suggests: List[Tuple[TenantSession, object]] = []
     observes: List[Tuple[TenantSession, object]] = []
     for session, request in pairs:
-        if session.batch_profile is UNPROBED:
-            session.batch_profile = batch_profile_for(session.optimizer)
-        if session.batch_profile is None:
-            _scalar_apply(host, session, request)
+        profile = session.batch_profile
+        if profile is UNPROBED:
+            profile = session.batch_profile = batch_profile_for(session.optimizer)
+            if not isinstance(profile, BatchProfile):
+                telemetry.counter(
+                    "service.batch.fallback_sessions", reason=profile
+                ).inc()
+        if not isinstance(profile, BatchProfile):
+            apply_scalar(host, session, request)
         elif request.op == "suggest":
             suggests.append((session, request))
         else:
@@ -233,8 +251,12 @@ def execute_run(
         _run_suggests(suggests)
 
 
-def _scalar_apply(host: TenantSessionHost, session: TenantSession, request) -> None:
-    """The per-request scalar path (identical to TenantSessionHost calls)."""
+def apply_scalar(host: TenantSessionHost, session: TenantSession, request) -> None:
+    """The per-request scalar path (identical to TenantSessionHost calls).
+
+    Serves the sessions the batched drain cannot, and every request of a
+    ``coalesce=False`` service (the single-backend reference deployment).
+    """
     session.requests += 1
     if request.op == "suggest":
         request.result = session.optimizer.suggest(data_size=request.data_size)
@@ -300,7 +322,7 @@ def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
         _finish_suggest(request, candidates, chosen)
 
 
-# -- observe: append → (batched fit) → FIND_BEST → FIND_GRADIENT → update -----------
+# -- observe: append → guardrail → (batched fit) → FIND_BEST → FIND_GRADIENT → update
 
 
 def _run_observes(
@@ -311,6 +333,11 @@ def _run_observes(
         session.requests += 1
         opt = session.optimizer
         Optimizer.observe(opt, request.observation)  # validate + append
+        if opt.guardrail is not None:
+            opt.guardrail.update(request.observation)
+            if not opt.guardrail.active:
+                telemetry.counter("centroid.updates_skipped", reason="guardrail").inc()
+                continue
         if len(opt.observations.window) < opt.min_update_observations:
             telemetry.counter("centroid.updates_skipped", reason="window").inc()
         else:

@@ -67,16 +67,18 @@ def render_metrics(metrics: Dict[str, object]) -> str:
 def render_service_metrics(metrics: Dict[str, object]) -> str:
     """Fixed-width render of a :meth:`~repro.service.sharded.ShardedAutotuneService.metrics` payload.
 
-    One row per shard (sessions, queue depth/high-water, shed and processed
-    counts) with a utilization bar scaled to the busiest shard, then the
-    fleet aggregates (shed rate, utilization skew) — the at-a-glance view
-    for "is one shard running hot".
+    One row per shard (sessions, how many of them the batched drain serves
+    and how many fall back to the scalar path, queue depth/high-water, shed
+    and processed counts) with a utilization bar scaled to the busiest
+    shard, then the fleet aggregates (shed rate, utilization skew) — the
+    at-a-glance view for "is one shard running hot" and "is every session
+    batched".
     """
     service = metrics.get("service", {})
     shards: Dict[str, Dict[str, object]] = service.get("shards", {})
     header = (
-        f"{'shard':<12}{'sessions':>9}{'depth':>7}{'hiwater':>9}"
-        f"{'shed':>6}{'processed':>11}  utilization"
+        f"{'shard':<12}{'sessions':>9}{'batched':>8}{'fallback':>9}{'depth':>7}"
+        f"{'hiwater':>9}{'shed':>6}{'processed':>11}  utilization"
     )
     lines = [
         f"sharded autotune service — {service.get('n_shards', len(shards))} shard(s), "
@@ -89,7 +91,8 @@ def render_service_metrics(metrics: Dict[str, object]) -> str:
         shard = shards[shard_id]
         bar = "#" * int(round(12 * shard["processed"] / busiest)) if busiest else ""
         lines.append(
-            f"{shard_id:<12}{shard['sessions']:>9}{shard['queue_depth']:>7}"
+            f"{shard_id:<12}{shard['sessions']:>9}{shard['batched_sessions']:>8}"
+            f"{shard['fallback_sessions']:>9}{shard['queue_depth']:>7}"
             f"{shard['queue_high_watermark']:>9}{shard['shed']:>6}"
             f"{shard['processed']:>11}  {bar}"
         )

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.centroid import CentroidLearning
+from ..core.guardrail import Guardrail
 from ..core.observation import Observation
 from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
@@ -131,20 +132,28 @@ def build_fleet(
 
 
 def default_optimizer_factory(
-    fleet: Sequence[FleetSession], base_seed: int = 0
+    fleet: Sequence[FleetSession],
+    base_seed: int = 0,
+    guardrail_factory: Optional[Callable[[], Guardrail]] = None,
 ) -> Callable[[str, str], CentroidLearning]:
     """The fleet's per-session optimizer builder.
 
     Looks the session up by key and derives its seed arithmetically, so any
     shard — or the single-backend reference — constructs the identical
-    optimizer for a given key (the host's determinism contract).
+    optimizer for a given key (the host's determinism contract).  With
+    ``guardrail_factory`` every session gets its own guardrail, the
+    production configuration (paper Sec. 4.3).
     """
     space = query_level_space()
     by_key = {(s.workload_id, s.signature): s for s in fleet}
 
     def factory(workload_id: str, query_signature: str) -> CentroidLearning:
         session = by_key[(workload_id, query_signature)]
-        return CentroidLearning(space, seed=session.optimizer_seed(base_seed))
+        return CentroidLearning(
+            space,
+            guardrail=guardrail_factory() if guardrail_factory else None,
+            seed=session.optimizer_seed(base_seed),
+        )
 
     return factory
 
@@ -197,7 +206,6 @@ def run_fleet(
     fleet: Sequence[FleetSession],
     n_iterations: int,
     *,
-    parallel_drain: bool = False,
     events: bool = False,
     max_shed_retries: int = 8,
     clock: Callable[[], float] = time.perf_counter,
@@ -207,8 +215,6 @@ def run_fleet(
     Args:
         service: the deployment under test (any shard count / coalesce
             setting — the request stream is deployment-independent).
-        parallel_drain: drain shards on threads (benchmark mode; only takes
-            effect while telemetry is disabled — see ``drain_all``).
         events: also forward a ``QueryEndEvent`` per observation (exercises
             the per-shard backend pipeline; leave off for pure service
             micro-benchmarks).
@@ -228,7 +234,7 @@ def run_fleet(
     def timed_drain() -> None:
         nonlocal drain_seconds
         t0 = clock()
-        service.drain_all(parallel=parallel_drain)
+        service.drain_all()
         drain_seconds += clock() - t0
 
     def submit_all(requests: List[TuneRequest]) -> None:

@@ -38,7 +38,8 @@ __all__ = ["SessionKey", "TenantSession", "TenantSessionHost", "UNPROBED"]
 SessionKey = Tuple[str, str]  # (workload_id, query_signature)
 
 # Sentinel for TenantSession.batch_profile: "not yet probed" (the batched
-# executor resolves it to a BatchProfile or None on first contact).
+# executor resolves it to a BatchProfile or an ineligibility reason string
+# on first contact).
 UNPROBED = object()
 
 # (workload_id, query_signature) -> a fresh optimizer for that session.
@@ -54,7 +55,8 @@ class TenantSession:
         self.key = key
         self.optimizer = optimizer
         self.grant: Optional[JobGrant] = None
-        # Resolved lazily by the batched executor (None = scalar-only session).
+        # Resolved lazily by the batched executor (a reason string =
+        # scalar-only session).
         self.batch_profile = UNPROBED
         self.requests = 0
 

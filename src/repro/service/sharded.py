@@ -19,7 +19,10 @@ Request path::
   of pairwise-distinct sessions and hands each run to
   :func:`repro.service.batch_exec.execute_run`, which coalesces the
   co-tenant window-model fits and predictions into batched kernel calls
-  while reproducing the scalar request path bit-for-bit.
+  while reproducing the scalar request path bit-for-bit.  Shards drain
+  one after another: on 1- and 2-CPU hosts thread-parallel drains
+  measured slower than serial ones.  :meth:`metrics` reports how many
+  sessions each shard batches and how many take the scalar path.
 * **Rebalance** — :meth:`add_shard` / :meth:`remove_shard` /
   :meth:`resize` recompute the ring and hand live sessions to their new
   owners (bounded movement, optimizer state intact);
@@ -37,8 +40,7 @@ prove the bit-identity check actually bites.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import telemetry
@@ -46,7 +48,7 @@ from ..core.observation import Observation
 from ..sparksim.events import QueryEndEvent
 from .admission import AdmissionController, Priority, ShardQueue, ShedError, ShedVerdict
 from .backend import AutotuneBackend
-from .batch_exec import execute_run
+from .batch_exec import BatchProfile, apply_scalar, execute_run
 from .ring import ConsistentHashRing
 from .sessions import OptimizerFactory, SessionKey, TenantSession, TenantSessionHost
 
@@ -269,7 +271,7 @@ class ShardedAutotuneService:
                 execute_run(shard.host, pairs)
             else:
                 for session, request in pairs:
-                    self._scalar_request(shard.host, session, request)
+                    apply_scalar(shard.host, session, request)
             now = self.clock()
             for request in run:
                 request.completed_at = now
@@ -300,30 +302,9 @@ class ShardedAutotuneService:
         if run:
             yield run
 
-    @staticmethod
-    def _scalar_request(host: TenantSessionHost, session: TenantSession,
-                        request: TuneRequest) -> None:
-        session.requests += 1
-        if request.op == "suggest":
-            request.result = session.optimizer.suggest(data_size=request.data_size)
-        else:
-            session.optimizer.observe(request.observation)
-            if request.event is not None:
-                host.forward_event(session, request.event)
-            request.result = None
-
-    def drain_all(self, parallel: bool = False) -> int:
-        """Drain every shard once; ``parallel`` drains shards on threads.
-
-        Thread-parallel drains are only safe while global telemetry is
-        disabled (counter sinks are not synchronized); the benchmark uses
-        it, oracle runs (which capture telemetry) stay serial.
-        """
-        shard_ids = list(self._shards)
-        if parallel and len(shard_ids) > 1 and not telemetry.enabled():
-            with ThreadPoolExecutor(max_workers=len(shard_ids)) as pool:
-                return sum(pool.map(self.drain_shard, shard_ids))
-        return sum(self.drain_shard(shard_id) for shard_id in shard_ids)
+    def drain_all(self) -> int:
+        """Drain every shard once, one after another."""
+        return sum(self.drain_shard(shard_id) for shard_id in list(self._shards))
 
     # -- rebalance / failover ----------------------------------------------------
 
@@ -416,11 +397,18 @@ class ShardedAutotuneService:
         return merged
 
     def metrics(self) -> Dict[str, object]:
-        """Service-level metrics: per-shard stats + fleet aggregates."""
+        """Service-level metrics: per-shard stats + fleet aggregates.
+
+        ``batched_sessions`` / ``fallback_sessions`` count the sessions the
+        batched drain has probed and found eligible / ineligible (a
+        ``coalesce=False`` service probes none); the
+        ``service.batch.fallback_sessions{reason=}`` counter says why.
+        """
         per_shard = {}
         processed = []
         for shard_id in sorted(self._shards):
             shard = self._shards[shard_id]
+            profiles = [s.batch_profile for s in shard.host.sessions.values()]
             per_shard[shard_id] = {
                 "sessions": len(shard.host.sessions),
                 "queue_depth": shard.queue.depth,
@@ -431,6 +419,8 @@ class ShardedAutotuneService:
                 "processed": shard.processed,
                 "runs": shard.runs,
                 "drain_seconds": shard.drain_seconds,
+                "batched_sessions": sum(isinstance(p, BatchProfile) for p in profiles),
+                "fallback_sessions": sum(isinstance(p, str) for p in profiles),
             }
             processed.append(shard.processed)
         total = sum(processed)

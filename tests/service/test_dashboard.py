@@ -106,12 +106,14 @@ class TestServiceMetricsRender:
                         "queue_high_watermark": 5, "enqueued": 20, "shed": 4,
                         "shed_by_reason": {"queue_full": 4}, "processed": 24,
                         "runs": 6, "drain_seconds": 0.01,
+                        "batched_sessions": 2, "fallback_sessions": 1,
                     },
                     "shard-1": {
                         "sessions": 2, "queue_depth": 1,
                         "queue_high_watermark": 3, "enqueued": 12, "shed": 0,
                         "shed_by_reason": {}, "processed": 12,
                         "runs": 4, "drain_seconds": 0.005,
+                        "batched_sessions": 2, "fallback_sessions": 0,
                     },
                 },
             }
@@ -129,6 +131,9 @@ class TestServiceMetricsRender:
         # Bar scaled to the busiest shard: full bar for shard-0, half for shard-1.
         assert lines["shard-0"].count("#") == 12
         assert lines["shard-1"].count("#") == 6
+        # sessions, batched, fallback columns.
+        assert lines["shard-0"].split()[1:4] == ["3", "2", "1"]
+        assert lines["shard-1"].split()[1:4] == ["2", "2", "0"]
 
     def test_render_handles_empty_service(self):
         from repro.service.dashboard import render_service_metrics

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.guardrail import Guardrail
 from repro.service.fleet import (
     FleetReport,
     build_fleet,
@@ -96,17 +97,19 @@ class TestRunFleet:
         assert report.lost_requests == 0
         assert report.n_requests == len(fleet) * 2 * 2
 
-    def test_parallel_drain_matches_serial_trails(self):
-        def trails(parallel):
-            fleet = build_fleet(6, seed=4, max_queries_per_workload=2)
-            service = small_service(fleet, n_shards=3)
-            run_fleet(service, fleet, n_iterations=3, parallel_drain=parallel)
-            return {
-                key: [tuple(o.config) for o in s.optimizer.observations.history]
-                for key, s in service.sessions().items()
-            }
-
-        assert trails(parallel=True) == trails(parallel=False)
+    def test_guardrail_factory_gives_each_session_its_own_guardrail(self):
+        fleet = build_fleet(4, seed=4, max_queries_per_workload=2)
+        factory = default_optimizer_factory(fleet, guardrail_factory=Guardrail)
+        service = ShardedAutotuneService(
+            2, factory, user_id_fn=fleet_user_map(fleet), queue_capacity=64,
+        )
+        run_fleet(service, fleet, n_iterations=3)
+        guardrails = [s.optimizer.guardrail for s in service.sessions().values()]
+        assert all(isinstance(g, Guardrail) for g in guardrails)
+        assert len({id(g) for g in guardrails}) == len(fleet)
+        assert all(g.n_observations == 3 for g in guardrails)
+        shards = service.metrics()["service"]["shards"].values()
+        assert sum(s["batched_sessions"] for s in shards) == len(fleet)
 
     def test_to_dict_round_trips_scalars(self):
         fleet = build_fleet(4, seed=0, max_queries_per_workload=1)

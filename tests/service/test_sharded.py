@@ -7,9 +7,17 @@ import pytest
 
 from repro import telemetry
 from repro.core.centroid import CentroidLearning
+from repro.core.config_space import ConfigSpace, Parameter
+from repro.core.find_best import FindBestMode
+from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
+from repro.core.selectors import RandomSelector, SurrogateSelector
+from repro.core.switch import SafeExplorationGate, TaskSwitchDetector
+from repro.ml.acquisition import ExpectedImprovement
+from repro.ml.linear import PolynomialFeatures, RidgeRegression
+from repro.ml.scaler import Pipeline, StandardScaler
 from repro.service.admission import Priority, ShedError
-from repro.service.sessions import TenantSessionHost
+from repro.service.batch_exec import BatchProfile, batch_profile_for
 from repro.service.sharded import ShardedAutotuneService, TuneRequest
 from repro.sparksim.configs import query_level_space
 
@@ -27,6 +35,19 @@ def seed_of(workload_id: str, signature: str) -> int:
 
 def optimizer_factory(workload_id: str, signature: str) -> CentroidLearning:
     return CentroidLearning(SPACE, seed=seed_of(workload_id, signature))
+
+
+def guarded_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """A guardrail that trips on ``drive``'s rising costs, then re-enables."""
+    guardrail = Guardrail(
+        min_iterations=3, threshold=0.005, patience=1, fit_window=3, cooldown=2
+    )
+    return CentroidLearning(
+        SPACE, guardrail=guardrail, seed=seed_of(workload_id, signature)
+    )
+
+
+FACTORIES = {"plain": optimizer_factory, "guarded": guarded_factory}
 
 
 def fresh_service(n_shards=3, **kwargs):
@@ -91,10 +112,39 @@ class TestRouting:
 
 
 class TestBatchedDrainEquivalence:
-    def test_coalesced_equals_scalar_trails(self):
-        batched = drive(fresh_service(coalesce=True), WORKLOADS)
-        scalar = drive(fresh_service(n_shards=1, coalesce=False), WORKLOADS)
-        assert batched == scalar
+    @pytest.mark.parametrize("factory", sorted(FACTORIES))
+    def test_coalesced_equals_scalar_trails(self, factory):
+        def run(n_shards, coalesce):
+            service = ShardedAutotuneService(
+                n_shards, FACTORIES[factory], queue_capacity=256, coalesce=coalesce
+            )
+            with telemetry.capture() as cap:
+                trails = drive(service, WORKLOADS, n_iterations=12)
+            sessions = service.sessions()
+            state = {
+                key: (
+                    s.optimizer.centroid.tolist(),
+                    s.optimizer.guardrail.decisions if s.optimizer.guardrail else None,
+                )
+                for key, s in sessions.items()
+            }
+            counters = {
+                name: value for name, value in cap.counters().items()
+                if not name.startswith("service.")
+            }
+            return sessions, trails, state, counters
+
+        sessions, trails, state, counters = run(3, coalesce=True)
+        _, *scalar = run(1, coalesce=False)
+        assert [trails, state, counters] == scalar
+        # Every session, guarded or not, took the batched drain.
+        assert all(isinstance(s.batch_profile, BatchProfile) for s in sessions.values())
+        if factory == "guarded":
+            # The guardrail really disabled and re-enabled tuning.
+            assert counters["guardrail.disables"] >= len(WORKLOADS)
+            assert counters["guardrail.reenables"] >= len(WORKLOADS)
+            assert counters["centroid.updates_skipped{reason=guardrail}"] > 0
+        assert counters["centroid.updates"] > 0
 
     def test_distinct_session_runs_split_repeats(self):
         batch = [
@@ -120,25 +170,105 @@ class TestBatchedDrainEquivalence:
         assert np.array_equal(first.result, reference.suggest())
         assert np.array_equal(second.result, reference.suggest())
 
-    def test_parallel_drain_matches_serial(self):
-        serial = drive(fresh_service(n_shards=4), WORKLOADS)
-
-        service = fresh_service(n_shards=4)
-        for t in range(6):
-            requests = [TuneRequest.suggest(w, f"{w}/q0") for w in WORKLOADS]
-            for request in requests:
-                service.submit(request)
-            service.drain_all(parallel=True)
-            for w, request in zip(WORKLOADS, requests):
-                service.submit(
-                    TuneRequest.observe(w, f"{w}/q0", observation_for(request.result, t))
+    def test_fallback_sessions_counted_once_and_served_scalar(self):
+        def factory(workload_id, signature):
+            if workload_id == "gated":
+                return CentroidLearning(
+                    SPACE, safe_gate=SafeExplorationGate(),
+                    seed=seed_of(workload_id, signature),
                 )
-            service.drain_all(parallel=True)
-        parallel = {
-            key: [tuple(o.config) for o in s.optimizer.observations.history]
-            for key, s in service.sessions().items()
-        }
-        assert parallel == serial
+            return optimizer_factory(workload_id, signature)
+
+        workloads = ["gated", "plain-0", "plain-1"]
+        service = ShardedAutotuneService(1, factory, queue_capacity=64)
+        reference = ShardedAutotuneService(1, factory, queue_capacity=64, coalesce=False)
+        with telemetry.capture() as cap:
+            trails = drive(service, workloads, n_iterations=4)
+        assert trails == drive(reference, workloads, n_iterations=4)
+        counters = cap.counters()
+        assert counters["service.batch.fallback_sessions{reason=safe_gate}"] == 1
+        assert sum(
+            v for k, v in counters.items() if k.startswith("service.batch.")
+        ) == 1
+        shard = service.metrics()["service"]["shards"]["shard-0"]
+        assert shard["batched_sessions"] == 2
+        assert shard["fallback_sessions"] == 1
+        # The scalar reference probes nothing.
+        ref_shard = reference.metrics()["service"]["shards"]["shard-0"]
+        assert ref_shard["batched_sessions"] == ref_shard["fallback_sessions"] == 0
+
+
+def _window_model():
+    return Pipeline([
+        ("scale", StandardScaler()),
+        ("poly", PolynomialFeatures(degree=2, interaction_only=True)),
+        ("ridge", RidgeRegression(alpha=0.5)),
+    ])
+
+
+def _exploding_factory():
+    raise RuntimeError("no model")
+
+
+class _CustomCentroidLearning(CentroidLearning):
+    pass
+
+
+WIDE_SPACE = ConfigSpace([Parameter(f"k{i}", 0.0, 1.0, 0.5) for i in range(13)])
+
+
+class TestBatchProfileFor:
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"guardrail": Guardrail()},
+        {"guardrail": Guardrail(robust=True, cooldown=3)},
+        {"alpha_decay": 0.1, "window_size": 5, "n_candidates": 7},
+    ], ids=["plain", "guardrail", "robust_cooldown_guardrail", "hyperparameters"])
+    def test_accepts_production_shapes(self, kwargs):
+        profile = batch_profile_for(CentroidLearning(SPACE, seed=0, **kwargs))
+        assert isinstance(profile, BatchProfile)
+        assert profile.dim == SPACE.dim
+        assert (profile.alpha, profile.degree, profile.interaction_only) == (1.0, 2, False)
+        assert np.array_equal(profile.span, profile.bounds_high - profile.bounds_low)
+
+    def test_accepts_custom_ridge_pipeline(self):
+        profile = batch_profile_for(
+            CentroidLearning(SPACE, model_factory=_window_model, seed=0)
+        )
+        assert isinstance(profile, BatchProfile)
+        assert (profile.alpha, profile.degree, profile.interaction_only) == (0.5, 2, True)
+
+    @pytest.mark.parametrize("build, reason", [
+        (lambda: _CustomCentroidLearning(SPACE), "optimizer"),
+        (lambda: CentroidLearning(SPACE, switch_detector=TaskSwitchDetector()),
+         "switch_detector"),
+        (lambda: CentroidLearning(
+            SPACE, guardrail=Guardrail(), switch_detector=TaskSwitchDetector()),
+         "switch_detector"),
+        (lambda: CentroidLearning(SPACE, safe_gate=SafeExplorationGate()), "safe_gate"),
+        (lambda: CentroidLearning(SPACE, find_best_mode=FindBestMode.RAW),
+         "find_best_mode"),
+        (lambda: CentroidLearning(SPACE, gradient_mode="linear"), "gradient"),
+        (lambda: CentroidLearning(SPACE, probe="multiplicative"), "gradient"),
+        (lambda: CentroidLearning(WIDE_SPACE), "dim"),
+        (lambda: CentroidLearning(SPACE, selector=RandomSelector()), "selector"),
+        (lambda: CentroidLearning(SPACE, selector=SurrogateSelector(
+            _window_model, acquisition=ExpectedImprovement())), "selector"),
+        (lambda: CentroidLearning(SPACE, selector=SurrogateSelector(_window_model)),
+         "selector"),
+        (lambda: CentroidLearning(SPACE, model_factory=_exploding_factory), "model"),
+        (lambda: CentroidLearning(SPACE, model_factory=RidgeRegression), "model"),
+        (lambda: CentroidLearning(SPACE, model_factory=lambda: Pipeline([
+            ("scale", StandardScaler()), ("ridge", RidgeRegression()),
+        ])), "model"),
+    ], ids=[
+        "subclass", "switch_detector", "guardrail_and_switch_detector", "safe_gate",
+        "raw_find_best", "linear_gradient", "multiplicative_probe", "wide_space",
+        "random_selector", "ei_acquisition", "foreign_selector_model",
+        "exploding_factory", "bare_ridge", "two_step_pipeline",
+    ])
+    def test_rejects_with_reason(self, build, reason):
+        assert batch_profile_for(build()) == reason
 
 
 class TestRebalance:
@@ -218,6 +348,9 @@ class TestMetrics:
         assert payload["utilization_skew"] >= 1.0
         processed = sum(s["processed"] for s in payload["shards"].values())
         assert processed == payload["submitted"]
+        batched = sum(s["batched_sessions"] for s in payload["shards"].values())
+        assert batched == len(WORKLOADS)
+        assert all(s["fallback_sessions"] == 0 for s in payload["shards"].values())
 
     def test_service_counters_namespaced(self):
         with telemetry.capture() as cap:
