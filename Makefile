@@ -33,7 +33,7 @@ bench:           ## pytest-benchmark harness
 	$(PYTEST) benchmarks/ --benchmark-only
 
 bench-perf:      ## perf micro-benchmarks + regression guards -> BENCH_perf.json
-	$(PYTEST) benchmarks/bench_perf_gp_update.py benchmarks/bench_perf_scoring.py benchmarks/bench_perf_batch.py benchmarks/bench_perf_parallel.py benchmarks/bench_perf_telemetry.py benchmarks/bench_perf_retrieval.py -q
+	$(PYTEST) benchmarks/bench_perf_gp_update.py benchmarks/bench_perf_scoring.py benchmarks/bench_perf_batch.py benchmarks/bench_perf_parallel.py benchmarks/bench_perf_lockstep.py benchmarks/bench_perf_telemetry.py benchmarks/bench_perf_retrieval.py -q
 
 bench-telemetry: ## telemetry overhead bench -> telemetry section of BENCH_perf.json
 	$(PYTEST) benchmarks/bench_perf_telemetry.py -q

@@ -1,7 +1,7 @@
 """Perf: vectorized batch evaluation vs the scalar cost-model loop.
 
 Times a 512-configuration sweep through ``CostModel.estimate_batch``
-against the per-config scalar reference (``estimate_scalar``), on a
+against the per-config scalar kernel (``estimate``), on a
 shuffle-heavy TPC-DS plan.  The batch path precompiles the plan into flat
 operator arrays once (:mod:`repro.sparksim.batch`) and replays the scalar
 arithmetic column-wise, so the guard below checks both sides of the
@@ -49,7 +49,7 @@ def test_batch_kernel_speedup(perf_results):
 
     def scalar_sweep():
         return np.array([
-            model.estimate_scalar(plan, config).total_seconds
+            model.estimate(plan, config).total_seconds
             for config in configs
         ])
 

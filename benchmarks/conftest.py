@@ -10,6 +10,7 @@ for paper-scale replication counts.
 
 import inspect
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -44,38 +45,104 @@ def service_results():
     return SERVICE_RESULTS
 
 
-def _write_report(path, schema, results):
-    import json
+def _git_sha(root=Path(__file__).resolve().parent.parent):
+    """The checkout's commit, or None outside a git checkout.
+
+    The sha gets a ``-dirty`` suffix when ``src/`` or ``benchmarks/`` holds
+    edits or new files the commit lacks: the numbers then came from code
+    that no commit holds.
+    """
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=root, capture_output=True, text=True, timeout=10,
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src", "benchmarks")
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if not sha:
+        return None
+    return f"{sha}-dirty" if dirty else sha
+
+
+def provenance():
+    """What each freshly written section records about the run behind it."""
     import platform
 
     from repro.experiments.parallel import available_workers
 
+    if os.environ.get("REPRO_BENCH_SMOKE", "0") == "1":
+        mode = "smoke"  # CI sizes
+    else:
+        mode = "full" if FULL_MODE else "quick"
+    return {
+        "mode": mode,
+        "git_sha": _git_sha(),
+        "n_cpus": available_workers(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+
+
+def _is_smoke(section):
+    """Whether a section holds smoke numbers: its provenance says so, or
+    (sections written before provenance existed) any ``smoke_mode`` flag
+    inside it is set."""
+    if not isinstance(section, dict):
+        return False
+    if "provenance" in section:
+        return section["provenance"].get("mode") == "smoke"
+    return section.get("smoke_mode") is True or any(
+        _is_smoke(value) for value in section.values()
+    )
+
+
+def merge_sections(existing, fresh):
+    """Merge ``fresh`` sections over ``existing`` ones, section by section.
+
+    A smoke section never replaces a non-smoke one: smoke sizes exist to
+    check bookkeeping on CI, and their timings are not comparable.  Returns
+    the merged sections and the names of the fresh sections refused.
+    """
+    merged = dict(existing)
+    refused = []
+    for name, section in fresh.items():
+        if _is_smoke(section) and name in merged and not _is_smoke(merged[name]):
+            refused.append(name)
+            continue
+        merged[name] = section
+    return merged, refused
+
+
+def _write_report(path, schema, results):
+    import json
+
     # Merge into any existing report so a partial run (e.g. `make
     # bench-telemetry`) refreshes its own sections without clobbering the
-    # ones it didn't measure.
+    # ones it didn't measure; each section carries its own provenance.
     sections = {}
     if path.exists():
         try:
             sections = json.loads(path.read_text()).get("sections", {})
         except (json.JSONDecodeError, OSError):
             sections = {}
-    sections.update(results)
-    payload = {
-        "schema": schema,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "n_cpus": available_workers(),
-        "full_mode": FULL_MODE,
-        "sections": sections,
-    }
+    stamp = provenance()
+    fresh = {name: {**section, "provenance": stamp} for name, section in results.items()}
+    sections, refused = merge_sections(sections, fresh)
+    for name in refused:
+        print(f"\n{path.name}: kept the non-smoke {name!r} section; "
+              f"a {stamp['mode']} run does not replace it")
+    payload = {"schema": schema, "sections": sections}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):
     if PERF_RESULTS:
-        _write_report(PERF_JSON, "repro-bench-perf/1", PERF_RESULTS)
+        _write_report(PERF_JSON, "repro-bench-perf/2", PERF_RESULTS)
     if SERVICE_RESULTS:
-        _write_report(SERVICE_JSON, "repro-bench-service/1", SERVICE_RESULTS)
+        _write_report(SERVICE_JSON, "repro-bench-service/2", SERVICE_RESULTS)
 
 
 @pytest.fixture(scope="session")

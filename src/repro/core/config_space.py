@@ -128,6 +128,12 @@ class ConfigSpace:
             raise ValueError(f"duplicate parameter names in {names}")
         self._parameters: List[Parameter] = list(parameters)
         self._index: Dict[str, int] = {p.name: i for i, p in enumerate(parameters)}
+        # Parameters are frozen, so the bounds are computed once and shared
+        # read-only by every caller.
+        self._bounds = np.array(
+            [[p.internal_low, p.internal_high] for p in self._parameters]
+        )
+        self._bounds.flags.writeable = False
 
     # -- container protocol ---------------------------------------------------
 
@@ -210,8 +216,8 @@ class ConfigSpace:
 
     @property
     def internal_bounds(self) -> np.ndarray:
-        """``(dim, 2)`` array of internal-axis [low, high] per parameter."""
-        return np.array([[p.internal_low, p.internal_high] for p in self._parameters])
+        """Read-only ``(dim, 2)`` array of internal-axis [low, high] per parameter."""
+        return self._bounds
 
     def default_vector(self) -> np.ndarray:
         return np.array([p.internal_default for p in self._parameters])

@@ -72,15 +72,15 @@ def probe_points(
     """
     c_star = np.asarray(c_star, dtype=float)
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
+    bounds = space.internal_bounds
     if probe == "span":
-        bounds = space.internal_bounds
         span = bounds[:, 1] - bounds[:, 0]
         points = c_star[None, :] - alpha * deltas * span[None, :]
     elif probe == "multiplicative":
         points = c_star[None, :] * (1.0 - alpha * deltas)
     else:
         raise ValueError(f"unknown probe geometry {probe!r}")
-    return np.array([space.clip(p) for p in points])
+    return np.clip(points, bounds[:, 0], bounds[:, 1])
 
 
 def _candidate_deltas(dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from .base import check_X, check_X_y
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, NodeArrays
 
 __all__ = ["GradientBoostingRegressor"]
 
@@ -18,6 +18,13 @@ class GradientBoostingRegressor:
     Used as an alternative baseline-model learner in the offline phase; the
     Fabric deployment trains with "Scikit-learn, NimbusML" (Sec. 3.1), for
     which boosted trees are the workhorse tabular learner.
+
+    Prediction flattens the fitted trees into one :class:`NodeArrays` (once
+    per fit, or on first use after ``ml.serialize.loads_model``) and
+    descends all of them together.  The stage sums then run through
+    ``np.add.accumulate`` down the tree axis, which adds
+    ``learning_rate * leaves[t]`` in tree order, so every stage is bitwise
+    the sum a tree-by-tree loop would build.
     """
 
     def __init__(
@@ -42,6 +49,7 @@ class GradientBoostingRegressor:
         self.max_features = max_features
         self._rng = np.random.default_rng(seed)
         self._trees: List[DecisionTreeRegressor] = []
+        self._stacked: Optional[NodeArrays] = None
         self._init_: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostingRegressor":
@@ -50,6 +58,7 @@ class GradientBoostingRegressor:
         self._init_ = float(y.mean())
         residual = y - self._init_
         self._trees = []
+        self._stacked = None
         for _ in range(self.n_estimators):
             if self.subsample < 1.0:
                 m = max(2 * self.min_samples_leaf, int(self.subsample * n))
@@ -68,21 +77,22 @@ class GradientBoostingRegressor:
             self._trees.append(tree)
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _stages(self, X: np.ndarray) -> np.ndarray:
+        """``(T + 1, n)`` running sums: row *t* is the prediction after *t* trees."""
         if not self._trees:
             raise RuntimeError("GradientBoostingRegressor is not fitted")
         X = check_X(X)
-        out = np.full(len(X), self._init_)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict(X)
-        return out
+        if self._stacked is None:
+            self._stacked = NodeArrays.from_roots([t._root for t in self._trees])
+        terms = np.empty((len(self._trees) + 1, len(X)))
+        terms[0] = self._init_
+        terms[1:] = self.learning_rate * self._stacked.leaves(X)
+        return np.add.accumulate(terms, axis=0)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._stages(X)[-1]
 
     def staged_predict(self, X: np.ndarray):
         """Yield predictions after each boosting stage (for early-stop tests)."""
-        if not self._trees:
-            raise RuntimeError("GradientBoostingRegressor is not fitted")
-        X = check_X(X)
-        out = np.full(len(X), self._init_)
-        for tree in self._trees:
-            out = out + self.learning_rate * tree.predict(X)
-            yield out.copy()
+        for stage in self._stages(X)[1:]:
+            yield stage.copy()

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import check_X, check_X_y
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, NodeArrays
 
 __all__ = ["RandomForestRegressor"]
 
@@ -18,6 +18,11 @@ class RandomForestRegressor:
     The ensemble spread across trees doubles as a (crude) uncertainty
     estimate via :meth:`predict_with_std`, which lets the forest serve as a
     baseline-model surrogate with an acquisition function.
+
+    Prediction flattens the fitted trees into one :class:`NodeArrays` (once
+    per fit, or on first use after ``ml.serialize.loads_model``) and
+    descends all of them together; its ``(T, n)`` leaf values are bitwise
+    the per-tree predictions stacked in tree order.
     """
 
     def __init__(
@@ -36,6 +41,7 @@ class RandomForestRegressor:
         self.max_features = max_features
         self._rng = np.random.default_rng(seed)
         self._trees: List[DecisionTreeRegressor] = []
+        self._stacked: Optional[NodeArrays] = None
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
         if self.max_features is None:
@@ -53,6 +59,7 @@ class RandomForestRegressor:
         n, d = X.shape
         max_features = self._resolve_max_features(d)
         self._trees = []
+        self._stacked = None
         for _ in range(self.n_estimators):
             idx = self._rng.integers(0, n, size=n)
             tree = DecisionTreeRegressor(
@@ -69,7 +76,9 @@ class RandomForestRegressor:
         if not self._trees:
             raise RuntimeError("RandomForestRegressor is not fitted")
         X = check_X(X)
-        return np.array([tree.predict(X) for tree in self._trees])
+        if self._stacked is None:
+            self._stacked = NodeArrays.from_roots([t._root for t in self._trees])
+        return self._stacked.leaves(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._all_tree_predictions(X).mean(axis=0)

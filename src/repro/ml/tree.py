@@ -1,15 +1,24 @@
-"""CART regression trees (variance-reduction splits), numpy-vectorized."""
+"""CART regression trees (variance-reduction splits), numpy-vectorized.
+
+Fitting builds a linked :class:`_Node` tree (the form ``ml.serialize``
+round-trips).  Prediction runs on :class:`NodeArrays`, the same tree
+flattened into node arrays and traversed for all rows at once, one tree
+level per step; an ensemble flattens all its trees into one
+:class:`NodeArrays` and descends them together.  Leaves are reached by
+the same ``x[feature] <= threshold`` tests as a node-by-node walk, so
+predictions are bitwise those of the linked tree.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .base import check_X, check_X_y
 
-__all__ = ["DecisionTreeRegressor"]
+__all__ = ["DecisionTreeRegressor", "NodeArrays"]
 
 
 @dataclass
@@ -23,6 +32,67 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.feature < 0
+
+
+@dataclass(frozen=True)
+class NodeArrays:
+    """One or more fitted trees as flat node arrays.
+
+    Node ``i`` sends a row left when ``x[feature[i]] <= threshold[i]``.  A
+    leaf points to itself on both sides and tests feature 0, so a row that
+    reached its leaf stays there while deeper trees keep descending.
+    Tree *t*'s root is node *t* for ``t < n_trees``; ``depth`` is the
+    longest root-to-leaf path over all of them.
+    """
+
+    feature: np.ndarray     # (nodes,) intp
+    threshold: np.ndarray   # (nodes,)
+    left: np.ndarray        # (nodes,) intp
+    right: np.ndarray       # (nodes,) intp
+    value: np.ndarray       # (nodes,) node predictions
+    n_trees: int
+    depth: int
+
+    @classmethod
+    def from_roots(cls, roots: Sequence[_Node]) -> "NodeArrays":
+        """Flatten linked trees breadth first; tree *t*'s root is node *t*."""
+        feature, threshold, left, right, value = [], [], [], [], []
+        queue, depths = list(roots), [0] * len(roots)
+        i = 0
+        while i < len(queue):
+            node = queue[i]
+            value.append(node.prediction)
+            if node.is_leaf:
+                feature.append(0)
+                threshold.append(0.0)
+                left.append(i)
+                right.append(i)
+            else:
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                left.append(len(queue))
+                right.append(len(queue) + 1)
+                queue.extend((node.left, node.right))
+                depths.extend((depths[i] + 1, depths[i] + 1))
+            i += 1
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value, dtype=float),
+            n_trees=len(roots),
+            depth=max(depths),
+        )
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """``(T, n)`` leaf values: what tree *t* predicts for row *j*."""
+        rows = np.arange(X.shape[0])
+        idx = np.repeat(np.arange(self.n_trees)[:, None], X.shape[0], axis=1)
+        for _ in range(self.depth):
+            go_left = X[rows, self.feature[idx]] <= self.threshold[idx]
+            idx = np.where(go_left, self.left[idx], self.right[idx])
+        return self.value[idx]
 
 
 def _best_split(X, y, feature_indices, min_samples_leaf):
@@ -89,6 +159,7 @@ class DecisionTreeRegressor:
         self.max_features = max_features
         self._rng = np.random.default_rng(seed)
         self._root: Optional[_Node] = None
+        self._arrays: Optional[NodeArrays] = None
         self.n_features_: int = 0
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
@@ -118,26 +189,25 @@ class DecisionTreeRegressor:
         X, y = check_X_y(X, y)
         self.n_features_ = X.shape[1]
         self._root = self._build(X, y, depth=0)
+        self._arrays = None
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def node_arrays(self) -> NodeArrays:
+        """The fitted tree as :class:`NodeArrays`, flattened once per fit.
+
+        Built from ``_root``, so a tree restored by ``ml.serialize`` (which
+        sets ``_root`` on a fresh estimator) flattens on first use.
+        """
         if self._root is None:
             raise RuntimeError("DecisionTreeRegressor is not fitted")
-        X = check_X(X)
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        if self._arrays is None:
+            self._arrays = NodeArrays.from_roots([self._root])
+        return self._arrays
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        arrays = self.node_arrays()
+        return arrays.leaves(check_X(X))[0]
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        def walk(node: Optional[_Node]) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        if self._root is None:
-            raise RuntimeError("DecisionTreeRegressor is not fitted")
-        return walk(self._root)
+        return self.node_arrays().depth

@@ -17,8 +17,9 @@ of N interpreter passes.  Three ingredients live here:
   repeated configurations pay the resolution once.
 
 Everything here is derived data; the arithmetic that turns it into seconds
-stays in :mod:`repro.sparksim.cost_model` next to the scalar reference
-kernel it mirrors.
+stays in :mod:`repro.sparksim.cost_model` next to the scalar kernel
+(``CostModel.estimate``) it mirrors; single-configuration callers use
+``estimate`` and never build these structures.
 """
 
 from __future__ import annotations
@@ -294,10 +295,6 @@ class ConfigColumns:
             column: Column = (
                 self._matrix[:, j] if j is not None else float(default)
             )
-        elif self.n == 1:
-            # Single-config batches (the scalar estimate() wrapper) stay on
-            # NumPy's scalar fast path — no (1,) broadcasting machinery.
-            column = float(self._dicts[0].get(name, default))
         elif any(name in c for c in self._dicts):
             column = np.fromiter(
                 (float(c.get(name, default)) for c in self._dicts),
@@ -323,8 +320,6 @@ class ConfigColumns:
         """Per-config multiplier for a categorical knob via a factor table."""
         if self._dicts is None or not any(name in c for c in self._dicts):
             return float(table.get(default, 1.0))
-        if self.n == 1:
-            return float(table.get(str(self._dicts[0].get(name, default)), 1.0))
         return np.fromiter(
             (table.get(str(c.get(name, default)), 1.0) for c in self._dicts),
             dtype=float,

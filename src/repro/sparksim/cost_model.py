@@ -15,6 +15,12 @@ known for (and that Fig. 1 shows):
 
 Each knob therefore has a convex response with a query-dependent optimum,
 exactly the structure the Centroid Learning algorithm assumes locally.
+
+Two entry points share these formulas.  :meth:`CostModel.estimate` is the
+scalar kernel, a per-operator loop over one configuration that every
+single-run caller uses.  :meth:`CostModel.estimate_batch` prices N
+configurations at once, replaying the same arithmetic column-wise so that
+row *i* is bitwise ``estimate(plan, configs[i])``.
 """
 
 from __future__ import annotations
@@ -280,29 +286,14 @@ class CostModel:
     ) -> CostBreakdown:
         """Noiseless execution-time estimate for ``plan`` under ``config``.
 
-        Thin wrapper over :meth:`estimate_batch` on a 1-row batch; results
-        are bit-identical to :meth:`estimate_scalar`, the legacy
-        per-operator loop kept as the golden reference.  ``overlay``
-        applies per-stage knob overrides (see ``repro.sparksim.overlay``).
-        """
-        batch = self.estimate_batch(
-            plan, [config], layout=layout, overlay=overlay, breakdown=True
-        )
-        return batch.breakdown_at(0)
-
-    def estimate_scalar(
-        self,
-        plan: PhysicalPlan,
-        config: Mapping[str, float],
-        layout: Optional[ExecutorLayout] = None,
-        overlay: Optional[StageConfigOverlay] = None,
-    ) -> CostBreakdown:
-        """Reference implementation: the original scalar per-operator loop.
-
-        Kept verbatim as the golden baseline the vectorized kernel is pinned
-        against (tests/sparksim/test_batch.py) and as the bench's scalar
-        comparator; production callers go through :meth:`estimate` /
-        :meth:`estimate_batch`.
+        The scalar kernel: one pass over the operators in topological
+        order, with the per-operator metrics the simulator reports.  Every
+        single-configuration caller (``SparkSimulator.run`` and
+        ``true_time``, the tuning step) lands here; :meth:`estimate_batch`
+        replays this arithmetic column-wise for N configurations and is
+        pinned bitwise against it (tests/sparksim/test_batch.py).
+        ``overlay`` applies per-stage knob overrides (see
+        ``repro.sparksim.overlay``).
         """
         layout = layout or ExecutorLayout.from_config(config)
         per_op: Dict[int, float] = {}
@@ -343,6 +334,10 @@ class CostModel:
         metrics["input_rows"] = plan.total_leaf_cardinality
         return CostBreakdown(total_seconds=total, per_operator=per_op, metrics=metrics)
 
+    # The scalar kernel's former name; the end-to-end benchmark's cost check
+    # (perfbench/workloads.py) still calls it.
+    estimate_scalar = estimate
+
     # -- vectorized batch estimate ----------------------------------------------------
 
     def estimate_batch(
@@ -364,8 +359,8 @@ class CostModel:
         of internal vectors (then ``space`` is required), or a prebuilt
         :class:`ConfigColumns`.  Returns ``(N,)`` seconds, or the full
         :class:`BatchCostBreakdown` when ``breakdown=True``.  Every value is
-        bit-identical to N calls of :meth:`estimate_scalar` — the kernel
-        replays the scalar arithmetic operation-for-operation on arrays.
+        bit-identical to N calls of :meth:`estimate` — the kernel replays
+        the scalar arithmetic operation-for-operation on arrays.
 
         ``data_scales`` gives every configuration its *own* input scale (an
         ``(N,)`` array): row counts scale per element in the exact
@@ -377,7 +372,7 @@ class CostModel:
 
         ``overlay`` applies the same per-stage knob overrides to every row
         (see ``repro.sparksim.overlay``); results stay bit-identical to N
-        calls of ``estimate_scalar(..., overlay=overlay)``.
+        calls of ``estimate(..., overlay=overlay)``.
         """
         started = time.perf_counter() if telemetry.enabled() else None
         cols = ConfigColumns.coerce(configs, space)
@@ -416,7 +411,7 @@ class CostModel:
         want_breakdown: bool, scales: Optional[np.ndarray] = None,
         overlay: Optional[StageConfigOverlay] = None,
     ) -> BatchCostBreakdown:
-        """The vectorized analogue of :meth:`estimate_scalar`.
+        """The vectorized analogue of :meth:`estimate`.
 
         Per-operator costs stay a short Python loop (plans have ~10 nodes);
         the N-config axis is pure NumPy.  Arithmetic mirrors the scalar
@@ -438,7 +433,7 @@ class CostModel:
         cores = layouts.total_cores                       # already max(·, 1)
         executors = layouts.executors
 
-        # Config columns (arrays, or plain floats when uniform across rows).
+        # Config columns (arrays, or plain floats for knobs no row sets).
         max_part_col = cols.numeric(
             "spark.sql.files.maxPartitionBytes", 128 * 1024 * 1024
         )
@@ -452,36 +447,14 @@ class CostModel:
         codec_tax = cols.factor("spark.io.compression.codec", "lz4", _CODEC_CPU_TAX)
         ser_factor = cols.factor("spark.serializer", "java", _SERIALIZER_CPU_FACTOR)
 
-        # When every operand is a uniform scalar (N=1, or a batch that never
-        # varies the relevant knobs) the math/builtin equivalents produce the
-        # same IEEE values as the ufuncs without per-call dispatch overhead —
-        # this keeps the 1-row estimate() wrapper close to the old scalar
-        # loop's speed.  Selection only; the formulas below are shared.
-        uniform = scales is None and not any(
-            isinstance(c, np.ndarray)
-            for c in (
-                max_part_col, partitions_col, threshold, codec_shuffle,
-                codec_tax, ser_factor, cores, executors,
-                layouts.memory_gb_per_executor, layouts.memory_gb_per_core,
-                layouts.offheap_positive,
-            )
-        )
-        if uniform:
-            ceil_, sqrt_ = math.ceil, math.sqrt
-            maximum_, minimum_ = lambda a, b: max(a, b), lambda a, b: min(a, b)
-            where_ = lambda c, a, b: a if c else b
-        else:
-            ceil_, sqrt_ = np.ceil, np.sqrt
-            maximum_, minimum_, where_ = np.maximum, np.minimum, np.where
-
-        max_part = maximum_(max_part_col, 1.0)
-        partitions = maximum_(1.0, partitions_col)
+        max_part = np.maximum(max_part_col, 1.0)
+        partitions = np.maximum(1.0, partitions_col)
 
         # Shuffle throughput, same op order as _shuffle_cost: base, optional
         # off-heap division, codec multiply, CPU-tax division.
         tp_base = p.shuffle_throughput_mb_s * 1e6
         throughput = (
-            where_(layouts.offheap_positive, tp_base / p.offheap_shuffle_discount, tp_base)
+            np.where(layouts.offheap_positive, tp_base / p.offheap_shuffle_discount, tp_base)
             * codec_shuffle
             / codec_tax
         )
@@ -492,9 +465,9 @@ class CostModel:
         bc_mem_budget = (
             layouts.memory_gb_per_executor * GIB * p.broadcast_memory_fraction
         )
-        shuffle_waves = ceil_(maximum_(partitions, 1.0) / cores)
+        shuffle_waves = np.ceil(np.maximum(partitions, 1.0) / cores)
         shuffle_sched = partitions * p.scheduling_overhead_s
-        straggler = 1.0 + p.skew_coefficient * sqrt_(
+        straggler = 1.0 + p.skew_coefficient * np.sqrt(
             p.skew_reference_partitions / partitions
         )
 
@@ -509,9 +482,9 @@ class CostModel:
             write_s = data_bytes / (throughput * c)
             hot = (data_bytes / parts) * strag
             overflow = hot / budget - 1.0
-            spill = where_(
+            spill = np.where(
                 hot > budget,
-                minimum_(p.spill_coefficient * overflow, 8.0),
+                np.minimum(p.spill_coefficient * overflow, 8.0),
                 0.0,
             )
             per_task_s = (hot / throughput) * (1.0 + spill) + p.task_overhead_s
@@ -524,15 +497,15 @@ class CostModel:
             if ov.task_parallelism is None:
                 c = cores
             else:
-                c = minimum_(cores, float(max(int(ov.task_parallelism), 1)))
+                c = np.minimum(cores, float(max(int(ov.task_parallelism), 1)))
             if ov.shuffle_partitions is None:
                 parts = partitions
             else:
-                parts = maximum_(1.0, float(ov.shuffle_partitions))
-            strag = 1.0 + p.skew_coefficient * sqrt_(
+                parts = np.maximum(1.0, float(ov.shuffle_partitions))
+            strag = 1.0 + p.skew_coefficient * np.sqrt(
                 p.skew_reference_partitions / parts
             )
-            waves = ceil_(maximum_(parts, 1.0) / c)
+            waves = np.ceil(np.maximum(parts, 1.0) / c)
             sched = parts * p.scheduling_overhead_s
             if ov.memory_fraction is None:
                 budget = shuffle_mem_budget
@@ -592,13 +565,13 @@ class CostModel:
                     if ov.max_partition_bytes is None:
                         mp = max_part
                     else:
-                        mp = maximum_(float(ov.max_partition_bytes), 1.0)
+                        mp = np.maximum(float(ov.max_partition_bytes), 1.0)
                     c = sh[5]
-                n_parts = maximum_(1.0, ceil_(bytes_total / mp))
+                n_parts = np.maximum(1.0, np.ceil(bytes_total / mp))
                 per_task_s = (
                     (bytes_total / n_parts) / scan_denom + p.task_overhead_s
                 )
-                cost = ceil_(maximum_(n_parts, 1.0) / c) * per_task_s
+                cost = np.ceil(np.maximum(n_parts, 1.0) / c) * per_task_s
                 cost = cost + n_parts * p.scheduling_overhead_s
                 add_tasks(n_parts)
                 add_metric("scan_bytes", bytes_total)
@@ -606,7 +579,7 @@ class CostModel:
                 cost, spill = shuffle(rows_in * row_bytes, *sh)
                 add_tasks(op_parts)
                 add_metric("shuffle_bytes", rows_in * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                add_metric("spilled", np.where(spill > 0, 1.0, 0.0))
             elif op_type == OpType.JOIN:
                 if scales is None:
                     build_bytes = arrays.join_build_bytes[i]
@@ -629,9 +602,9 @@ class CostModel:
                 )
                 pressure = build_bytes / bc_mem_budget
                 pressured = build_bytes > bc_mem_budget
-                t_bc = where_(
+                t_bc = np.where(
                     pressured,
-                    t_bc * (1.0 + minimum_(pressure * pressure, 25.0)),
+                    t_bc * (1.0 + np.minimum(pressure * pressure, 25.0)),
                     t_bc,
                 )
                 # Sort-merge join (stage overrides scope to its shuffle).
@@ -647,7 +620,7 @@ class CostModel:
                     + cpu(nlogn / 20.0, 1.0)
                     + cpu(rows_in, 1.2)
                 )
-                cost = where_(is_broadcast, t_bc, t_smj)
+                cost = np.where(is_broadcast, t_bc, t_smj)
                 if want_breakdown:
                     is_broadcast = np.broadcast_to(is_broadcast, (n,))
                     smj = ~is_broadcast
@@ -658,14 +631,14 @@ class CostModel:
                     )
                     add_metric("broadcast_joins", 1.0, is_broadcast)
                     add_metric("shuffle_bytes", rows_in * row_bytes, smj)
-                    add_metric("spilled", where_(spill > 0, 1.0, 0.0), smj)
+                    add_metric("spilled", np.where(spill > 0, 1.0, 0.0), smj)
                     add_metric("sort_merge_joins", 1.0, smj)
             elif op_type == OpType.HASH_AGGREGATE:
                 shuffle_s, spill = shuffle((rows_in * 0.5) * row_bytes, *sh)
                 cost = shuffle_s + cpu(rows_in, 1.3)
                 add_tasks(op_parts)
                 add_metric("shuffle_bytes", (rows_in * 0.5) * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                add_metric("spilled", np.where(spill > 0, 1.0, 0.0))
             elif op_type in (OpType.SORT, OpType.WINDOW):
                 shuffle_s, spill = shuffle(rows_in * row_bytes, *sh)
                 if scales is None:
@@ -678,7 +651,7 @@ class CostModel:
                 cost = shuffle_s + cpu(nlogn / 25.0, factor)
                 add_tasks(op_parts)
                 add_metric("shuffle_bytes", rows_in * row_bytes)
-                add_metric("spilled", where_(spill > 0, 1.0, 0.0))
+                add_metric("spilled", np.where(spill > 0, 1.0, 0.0))
             else:  # Filter, Project, Union, Limit — narrow transforms
                 cost = cpu(rows_in, 0.5)
             if want_breakdown:

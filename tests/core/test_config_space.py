@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config_space import ConfigSpace, Configuration, Parameter
+from repro.core.importance import PrunedSpace
+from repro.sparksim.configs import full_space
 
 
 class TestParameter:
@@ -123,6 +125,31 @@ class TestConfigSpace:
     def test_equality(self, small_space):
         other = ConfigSpace(list(small_space))
         assert small_space == other
+
+
+class TestInternalBounds:
+    """Bounds are computed once per space and handed out read-only."""
+
+    @pytest.fixture(params=["small", "full", "pruned"])
+    def space(self, request, small_space):
+        if request.param == "small":
+            return small_space
+        if request.param == "full":
+            return full_space()
+        return PrunedSpace(full_space(), ["spark.sql.shuffle.partitions",
+                                          "spark.executor.memory"])
+
+    def test_equals_per_parameter_bounds(self, space):
+        expected = np.array([[p.internal_low, p.internal_high] for p in space])
+        assert space.internal_bounds.shape == (space.dim, 2)
+        assert np.array_equal(space.internal_bounds, expected)
+
+    def test_read_only_and_shared(self, space):
+        bounds = space.internal_bounds
+        assert not bounds.flags.writeable
+        with pytest.raises(ValueError):
+            bounds[0, 0] = -1.0
+        assert space.internal_bounds is bounds
 
 
 class TestConfiguration:

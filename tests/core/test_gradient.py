@@ -6,8 +6,12 @@ import pytest
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.find_best import fit_window_model
 from repro.core.centroid import default_window_model_factory
-from repro.core.gradient import linear_sign_gradient, ml_sign_gradient, probe_points
+from repro.core.gradient import (
+    _candidate_deltas, linear_sign_gradient, ml_sign_gradient, probe_points,
+)
+from repro.core.importance import PrunedSpace
 from repro.core.observation import Observation, ObservationWindow
+from repro.sparksim.configs import full_space
 
 
 @pytest.fixture
@@ -76,6 +80,29 @@ class TestProbePoints:
     def test_unknown_probe(self, space2):
         with pytest.raises(ValueError, match="probe"):
             probe_points(space2, np.zeros(2), np.ones((1, 2)), 0.1, probe="bogus")
+
+    @pytest.mark.parametrize("probe", ["span", "multiplicative"])
+    @pytest.mark.parametrize("space_name", ["full", "pruned"])
+    def test_matches_per_row_clip(self, probe, space_name, rng):
+        # The whole probe matrix is clipped in one call; the reference
+        # clips row by row through space.clip.  Large alphas push probes
+        # past both bounds on every geometry.
+        space = full_space()
+        if space_name == "pruned":
+            space = PrunedSpace(space, ["spark.sql.shuffle.partitions",
+                                        "spark.sql.files.maxPartitionBytes",
+                                        "spark.executor.cores"])
+        deltas = _candidate_deltas(space.dim)
+        bounds = space.internal_bounds
+        for alpha in (0.05, 0.4, 1.5):
+            c_star = rng.uniform(bounds[:, 0], bounds[:, 1])
+            points = probe_points(space, c_star, deltas, alpha, probe)
+            if probe == "span":
+                raw = c_star - alpha * deltas * (bounds[:, 1] - bounds[:, 0])
+            else:
+                raw = c_star * (1.0 - alpha * deltas)
+            reference = np.array([space.clip(row) for row in raw])
+            assert np.array_equal(points, reference)
 
 
 class TestMLSignGradient:

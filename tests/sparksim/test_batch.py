@@ -78,8 +78,9 @@ def single_op_plan():
 
 
 def _scalar_reference(model, plan, configs, layout=None):
+    """Per-config totals from the scalar kernel, ``CostModel.estimate``."""
     return np.array([
-        model.estimate_scalar(plan, config, layout).total_seconds
+        model.estimate(plan, config, layout).total_seconds
         for config in configs
     ])
 
@@ -156,24 +157,31 @@ class TestGoldenEquivalence:
         batch = model.estimate_batch(plan, configs, breakdown=True)
         assert batch.n == len(configs)
         for i, config in enumerate(configs):
-            scalar = model.estimate_scalar(plan, config)
+            scalar = model.estimate(plan, config)
             got = batch.breakdown_at(i)
             assert got.total_seconds == scalar.total_seconds
             assert got.per_operator == scalar.per_operator
             assert got.metrics == scalar.metrics
 
-    def test_estimate_wrapper_matches_scalar(self, model):
-        # estimate() is now a 1-row batch; it must stay interchangeable with
-        # the preserved scalar reference.
+    @pytest.mark.parametrize("plan_fn", [
+        lambda: tpch_plan(1, 10.0), lambda: tpch_plan(9, 10.0),
+        lambda: tpcds_plan(8, 25.0), degenerate_join_plan,
+        every_op_type_plan, single_op_plan,
+    ], ids=["q01", "q09", "ds_q08", "self_join", "all_op_types", "single_op"])
+    def test_one_row_batch_matches_estimate(self, model, plan_fn):
+        # estimate() is the scalar kernel; the batch kernel must reproduce
+        # it on a 1-row batch too, breakdown included.  full_space covers
+        # the categorical and app-level layout knobs.
+        plan = plan_fn()
         space = full_space()
-        plan = tpcds_plan(8, 25.0)
         for v in space.latin_hypercube(6, np.random.default_rng(8)):
             config = space.to_dict(v)
-            wrapped = model.estimate(plan, config)
-            scalar = model.estimate_scalar(plan, config)
-            assert wrapped.total_seconds == scalar.total_seconds
-            assert wrapped.per_operator == scalar.per_operator
-            assert wrapped.metrics == scalar.metrics
+            one_row = model.estimate_batch(plan, [config], breakdown=True)
+            got = one_row.breakdown_at(0)
+            scalar = model.estimate(plan, config)
+            assert got.total_seconds == scalar.total_seconds
+            assert got.per_operator == scalar.per_operator
+            assert got.metrics == scalar.metrics
 
 
 class TestBatchStructures:

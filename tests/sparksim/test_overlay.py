@@ -122,7 +122,7 @@ class TestOverlayChangesCosts:
         vectors = space.sample_vectors(16, rng)
         batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
         scalar = np.array([
-            model.estimate_scalar(
+            model.estimate(
                 plan, space.to_dict(v), overlay=overlay
             ).total_seconds
             for v in vectors

@@ -57,7 +57,7 @@ def assert_batch_matches_scalar(plan, overlay, rng, n_configs=8):
     vectors = space.sample_vectors(n_configs, rng)
     batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
     scalar = np.array([
-        model.estimate_scalar(
+        model.estimate(
             plan, space.to_dict(v), overlay=overlay
         ).total_seconds
         for v in vectors

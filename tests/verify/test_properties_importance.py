@@ -147,7 +147,7 @@ class TestOverlayKernelProperty:
         vectors = space.sample_vectors(4, rng)
         batch = model.estimate_batch(plan, vectors, space=space, overlay=overlay)
         scalar = np.array([
-            model.estimate_scalar(
+            model.estimate(
                 plan, space.to_dict(v), overlay=overlay
             ).total_seconds
             for v in vectors
