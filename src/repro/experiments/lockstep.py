@@ -5,7 +5,9 @@ in struct-of-arrays form: per step there is **one**
 ``true_time_batch``/``estimate_batch`` call per distinct (plan, cost
 parameters, pool) group covering every session, one batched ridge-pipeline
 fit for every session whose window model is stale, one batched guardrail
-trend solve, and one vectorized centroid update — instead of K of each.
+trend solve, and one batched centroid update — instead of K of each.  The
+CL step itself (shape rule, fits, scoring, Alg.-1 update) is
+:mod:`repro.core.batched_step`, shared with the shard drains.
 
 **Bit-identity contract.**  The engine is not an approximation: every
 floating-point operation is arranged so that session *k*'s observation
@@ -16,9 +18,8 @@ sequentially.  The ingredients:
 * per-session RNG streams — each session draws candidates, cold-start
   choices and observation noise from its own optimizer/simulator
   generators, in the same order as the sequential loop;
-* the batched model fits in :mod:`repro.ml.batched`, whose per-slice
-  arithmetic matches the scalar ``StandardScaler → PolynomialFeatures →
-  RidgeRegression`` pipeline and the guardrail's :func:`ols_predict`;
+* :mod:`repro.core.batched_step`, whose row *k* is bitwise the scalar
+  ``CentroidLearning`` arithmetic, and the guardrail's :func:`ols_predict`;
 * the per-config ``data_scales`` path of
   :meth:`repro.sparksim.executor.SparkSimulator.true_time_batch`, bitwise
   equal to scalar estimates on per-session scaled plans;
@@ -42,8 +43,8 @@ end on fig15-style populations; Hypothesis properties in
 ``tests/verify/test_properties.py`` pin the K=1 reduction and permutation
 invariance.
 
-Sessions whose optimizers fall outside the vectorizable envelope (non-CL
-optimizers, robust guardrails, custom selectors, ...) raise
+Sessions outside :func:`~repro.core.batched_step.batch_profile_for`'s
+shape, stale or non-uniform populations, and robust guardrails raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
 path rather than silently getting different numbers.  Batched GP
 posteriors for BO/contextual paths are provided by
@@ -53,18 +54,23 @@ bitwise) contract.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
+from ..core.batched_step import (
+    BatchProfile,
+    acquisition_scores,
+    batch_profile_for,
+    centroid_step,
+    fit_window_models,
+    window_means,
+)
 from ..core.centroid import CentroidLearning
-from ..core.find_best import FindBestMode
 from ..core.guardrail import Guardrail, GuardrailDecision
 from ..core.observation import Observation
-from ..core.selectors import SurrogateSelector
 from ..core.session import IterationRecord, TuningSession, TuningTrace
 from ..core.switch import (
     SafeExplorationGate,
@@ -72,15 +78,7 @@ from ..core.switch import (
     TaskSwitchDetector,
     _record_detection,
 )
-from ..ml.acquisition import (
-    ExpectedImprovement,
-    LowerConfidenceBound,
-    MeanMinimizer,
-    ProbabilityOfImprovement,
-)
-from ..ml.batched import BatchedRidgePipeline, fit_ridge_pipeline, ols_predict
-from ..ml.linear import PolynomialFeatures, RidgeRegression
-from ..ml.scaler import Pipeline, StandardScaler
+from ..ml.batched import BatchedRidgePipeline, ols_predict, polynomial_features_batch
 
 __all__ = [
     "LockstepCompatibilityError",
@@ -89,20 +87,6 @@ __all__ = [
     "LockstepReplicatedRuns",
     "run_sequential",
 ]
-
-# Acquisition functions whose scores are elementwise in (mean, std, best) —
-# a batched (K, m) call is then bitwise equal to K scalar (m,) calls.
-_ELEMENTWISE_ACQUISITIONS = (
-    MeanMinimizer,
-    ExpectedImprovement,
-    ProbabilityOfImprovement,
-    LowerConfidenceBound,
-)
-
-# Beyond this many knobs the 2^d gradient sign enumeration that the engine
-# mirrors (repro.core.gradient._MAX_ENUM_DIM) switches to a coordinate-wise
-# search the engine does not replicate.
-_MAX_ENUM_DIM = 12
 
 
 class LockstepCompatibilityError(ValueError):
@@ -143,17 +127,15 @@ def run_sequential(
 
 @dataclass
 class _Uniform:
-    """Hyperparameters required to be identical across the population."""
+    """Settings required to be identical across the population."""
 
     window_size: int
     n_candidates: int
-    find_best_mode: FindBestMode
-    probe: str
     min_update_obs: int
     sel_min_obs: int
-    acquisition: object
-    degree: int
-    interaction_only: bool
+    # Session 0's profile: its window-model shape, FIND_BEST mode, probe,
+    # acquisition and space geometry are the population's.
+    profile: BatchProfile
     guardrail: Optional[Guardrail]  # parameter template (state lives in SoA)
     detector: Optional[TaskSwitchDetector] = None  # parameter template
     gate: Optional[SafeExplorationGate] = None
@@ -201,11 +183,13 @@ class LockstepSessions:
 
     Args:
         specs: the population; every optimizer must be a fresh
-            :class:`CentroidLearning` with the default surrogate-selector /
-            ridge-pipeline structure (per-session ``alpha``, ``beta``,
-            ``alpha_decay``, ridge strength, seeds, noise models and fault
-            plans may vary; window sizes, candidate counts, selector and
-            guardrail *parameters* must be uniform).
+            :class:`CentroidLearning` in the batched step's shape
+            (:func:`~repro.core.batched_step.batch_profile_for`).
+            Per-session ``alpha``, ``beta``, ``alpha_decay``, ridge
+            strength, seeds, noise models and fault plans may vary; window
+            sizes, candidate counts, window-model shape, FIND_BEST mode,
+            probe, acquisition and guardrail/detector/gate *parameters*
+            must be uniform.
 
     Raises:
         LockstepCompatibilityError: when the population cannot be run
@@ -250,26 +234,19 @@ class LockstepSessions:
         """Validate and build the optimizer-state SoA shared by all drivers."""
         self.k = len(opts)
         self._opts = opts
-        self._u = self._validate(opts)
+        self._u, self._ridge_alphas = self._validate(opts)
         u = self._u
         self.space = opts[0].space
         self.dim = self.space.dim
-        bounds = self.space.internal_bounds
-        self._lb = bounds[:, 0].copy()
-        self._ub = bounds[:, 1].copy()
-        self._span = self._ub - self._lb
+        self._lb = u.profile.bounds_low
+        self._ub = u.profile.bounds_high
+        self._span = u.profile.span
         self._default = self.space.default_vector()
-        self._deltas = np.array(
-            list(itertools.product((1.0, -1.0), repeat=self.dim))
-        )
 
         # Per-session scalar hyperparameters (allowed to vary).
         self._alphas = np.array([o.alpha for o in opts])
         self._alpha_decays = np.array([o.alpha_decay for o in opts])
         self._betas = np.array([o.beta for o in opts])
-        self._ridge_alphas = np.array(
-            [o.model_factory().steps[-1][1].alpha for o in opts]
-        )
         self._rngs = [o._rng for o in opts]
         # Prebound per-session callables: the per-step Python floor is one
         # raw-double draw plus one observe_true call per session, so shaving
@@ -288,19 +265,17 @@ class LockstepSessions:
         # lazily when a session's window version moves past the cached one
         # (mirrors find_best.fit_window_model's memoization).
         n_base = self.dim + 1
-        if u.degree == 1:
-            n_feat = n_base
-        elif u.interaction_only:
-            n_feat = n_base + n_base * (n_base - 1) // 2
-        else:
-            n_feat = n_base + n_base * (n_base + 1) // 2
+        degree, interaction_only = u.profile.degree, u.profile.interaction_only
+        n_feat = polynomial_features_batch(
+            np.zeros(n_base), degree, interaction_only
+        ).shape[-1]
         self._model = BatchedRidgePipeline(
             mean=np.zeros((self.k, n_base)),
             scale=np.ones((self.k, n_base)),
             coef=np.zeros((self.k, n_feat)),
             intercept=np.zeros(self.k),
-            degree=u.degree,
-            interaction_only=u.interaction_only,
+            degree=degree,
+            interaction_only=interaction_only,
         )
         self._model_version = np.full(self.k, -1)
 
@@ -355,85 +330,63 @@ class LockstepSessions:
 
     # -- validation --------------------------------------------------------------
 
-    def _validate(self, opts: Sequence[CentroidLearning]) -> _Uniform:
-        first = opts[0]
-        det0 = getattr(first, "switch_detector", None)
-        gate0 = getattr(first, "safe_gate", None)
-        _require(
-            type(first) is CentroidLearning,
-            f"lock-step supports CentroidLearning, got {type(first).__name__}",
-        )
-        space = first.space
-        _require(
-            space.dim <= _MAX_ENUM_DIM,
-            f"lock-step mirrors the 2^d gradient enumeration; "
-            f"dim {space.dim} > {_MAX_ENUM_DIM}",
-        )
-        sel0 = first.selector
-        gr0 = first.guardrail
+    def _validate(
+        self, opts: Sequence[CentroidLearning]
+    ) -> Tuple[_Uniform, np.ndarray]:
+        """The population's uniform settings and per-session ridge strengths.
+
+        Each session must have the batched step's shape
+        (:func:`~repro.core.batched_step.batch_profile_for`); the rules here
+        are the ones lock-step adds: fresh state, uniform settings, and
+        non-robust guardrails.
+        """
+        profiles = []
         for opt in opts:
-            _require(
-                type(opt) is CentroidLearning,
-                f"lock-step supports CentroidLearning, got {type(opt).__name__}",
+            profile = batch_profile_for(opt)
+            if not isinstance(profile, BatchProfile):
+                raise LockstepCompatibilityError(
+                    f"lock-step runs the batched CentroidLearning step; a "
+                    f"{type(opt).__name__} session is out of shape ({profile})"
+                )
+            profiles.append(profile)
+        names = (
+            "ConfigSpace", "window_size", "n_candidates", "min_update_observations",
+            "selector min_observations", "polynomial expansion", "find_best_mode",
+            "probe", "acquisition", "guardrail settings",
+            "switch-detector settings", "safe-gate settings",
+        )
+
+        def settings(opt: CentroidLearning, profile: BatchProfile) -> tuple:
+            g, det, gate = opt.guardrail, opt.switch_detector, opt.safe_gate
+            return (
+                opt.space, opt.observations.window_size, opt.n_candidates,
+                opt.min_update_observations, opt.selector.min_observations,
+                (profile.degree, profile.interaction_only),
+                profile.find_best_mode, profile.probe, profile.acquisition,
+                None if g is None else (
+                    g.min_iterations, g.threshold, g.patience, g.fit_window,
+                    g.cooldown,
+                ),
+                None if det is None else (
+                    det.warmup, det.threshold, det.drift, det.clip,
+                    det.min_rel_scale, det.size_jump, det.embedding_jump,
+                ),
+                None if gate is None else (gate.bound, gate.min_observations),
             )
-            _require(opt.space == space, "all sessions must share one ConfigSpace")
-            _require(
-                opt.gradient_mode == "ml",
-                f"lock-step supports gradient_mode='ml', got {opt.gradient_mode!r}",
-            )
-            _require(opt.probe == first.probe, "probe geometry must be uniform")
-            _require(
-                opt.probe in ("span", "multiplicative"),
-                f"unknown probe geometry {opt.probe!r}",
-            )
-            _require(
-                opt.observations.window_size == first.observations.window_size,
-                "window_size must be uniform",
-            )
-            _require(
-                opt.n_candidates == first.n_candidates,
-                "n_candidates must be uniform",
-            )
-            _require(
-                opt.find_best_mode is first.find_best_mode,
-                "find_best_mode must be uniform",
-            )
-            _require(
-                opt.min_update_observations == first.min_update_observations,
-                "min_update_observations must be uniform",
-            )
+
+        first = opts[0]
+        settings0 = settings(first, profiles[0])
+        for opt, profile in zip(opts, profiles):
+            values = settings(opt, profile)
+            if values != settings0:
+                name = next(n for n, a, b in zip(names, values, settings0) if a != b)
+                raise LockstepCompatibilityError(f"{name} must be uniform")
             _require(
                 len(opt.observations) == 0 and opt._n_updates == 0,
                 "lock-step requires fresh optimizers (empty windows)",
             )
-            sel = opt.selector
-            _require(
-                type(sel) is SurrogateSelector,
-                f"lock-step supports SurrogateSelector, got {type(sel).__name__}",
-            )
-            _require(sel.baseline is None, "baseline models are not supported")
-            _require(
-                sel.model_factory is opt.model_factory,
-                "selector must share the optimizer's model factory",
-            )
-            _require(
-                sel.min_observations == sel0.min_observations,
-                "selector min_observations must be uniform",
-            )
-            _require(
-                isinstance(sel.acquisition, _ELEMENTWISE_ACQUISITIONS),
-                f"unsupported acquisition {type(sel.acquisition).__name__}",
-            )
-            _require(
-                sel.acquisition == sel0.acquisition,
-                "acquisition functions must be uniform",
-            )
-            _require(
-                (opt.guardrail is None) == (gr0 is None),
-                "guardrails must be all absent or all present",
-            )
-            if opt.guardrail is not None:
-                g = opt.guardrail
+            g, det = opt.guardrail, opt.switch_detector
+            if g is not None:
                 _require(
                     type(g) is Guardrail and not g.robust,
                     "lock-step supports non-robust Guardrail instances",
@@ -442,18 +395,6 @@ class LockstepSessions:
                     g.n_observations == 0 and g.active,
                     "lock-step requires fresh guardrails",
                 )
-                _require(
-                    (g.min_iterations, g.threshold, g.patience,
-                     g.fit_window, g.cooldown)
-                    == (gr0.min_iterations, gr0.threshold, gr0.patience,
-                        gr0.fit_window, gr0.cooldown),
-                    "guardrail parameters must be uniform",
-                )
-            det = getattr(opt, "switch_detector", None)
-            _require(
-                (det is None) == (det0 is None),
-                "switch detectors must be all absent or all present",
-            )
             if det is not None:
                 _require(
                     type(det) is TaskSwitchDetector,
@@ -464,84 +405,40 @@ class LockstepSessions:
                     det.n_since_anchor == 0 and det.switch_count == 0,
                     "lock-step requires fresh switch detectors",
                 )
+            if opt.safe_gate is not None:
                 _require(
-                    (det.warmup, det.threshold, det.drift, det.clip,
-                     det.min_rel_scale, det.size_jump, det.embedding_jump)
-                    == (det0.warmup, det0.threshold, det0.drift, det0.clip,
-                        det0.min_rel_scale, det0.size_jump,
-                        det0.embedding_jump),
-                    "switch-detector parameters must be uniform",
-                )
-            gate = getattr(opt, "safe_gate", None)
-            _require(
-                (gate is None) == (gate0 is None),
-                "safe gates must be all absent or all present",
-            )
-            if gate is not None:
-                _require(
-                    type(gate) is SafeExplorationGate,
+                    type(opt.safe_gate) is SafeExplorationGate,
                     f"lock-step supports SafeExplorationGate, "
-                    f"got {type(gate).__name__}",
+                    f"got {type(opt.safe_gate).__name__}",
                 )
-                _require(
-                    (gate.bound, gate.min_observations)
-                    == (gate0.bound, gate0.min_observations),
-                    "safe-gate parameters must be uniform",
-                )
-        if det0 is not None:
-            ids = {id(getattr(o, "switch_detector", None)) for o in opts}
+        if first.switch_detector is not None:
+            ids = {id(o.switch_detector) for o in opts}
             _require(
                 len(ids) == len(opts),
                 "each session needs its own TaskSwitchDetector instance",
             )
-        degree = interaction_only = None
-        for opt in opts:
-            model = opt.model_factory()
-            _require(
-                isinstance(model, Pipeline) and len(model.steps) == 3,
-                "model factory must build a scale→poly→ridge Pipeline",
-            )
-            scale_step, poly_step, ridge_step = (s for _, s in model.steps)
-            _require(
-                isinstance(scale_step, StandardScaler)
-                and isinstance(poly_step, PolynomialFeatures)
-                and isinstance(ridge_step, RidgeRegression)
-                and ridge_step.fit_intercept,
-                "model factory must build the default "
-                "StandardScaler→PolynomialFeatures→RidgeRegression pipeline",
-            )
-            if degree is None:
-                degree = poly_step.degree
-                interaction_only = poly_step.interaction_only
-            _require(
-                poly_step.degree == degree
-                and poly_step.interaction_only == interaction_only,
-                "polynomial expansion must be uniform",
-            )
-        if gate0 is not None:
+        if first.safe_gate is not None:
             # Gate active ⟹ the selector is in its model branch: the gate
             # must never strip candidates while the selector would still be
             # consuming a cold-start RNG draw, or the lock-step mirror (which
             # routes gated sessions through the batched model path) diverges.
             _require(
-                gate0.min_observations >= sel0.min_observations,
+                first.safe_gate.min_observations
+                >= first.selector.min_observations,
                 "safe_gate.min_observations must be >= the selector's "
                 "min_observations",
             )
-        return _Uniform(
+        uniform = _Uniform(
             window_size=first.observations.window_size,
             n_candidates=first.n_candidates,
-            find_best_mode=first.find_best_mode,
-            probe=first.probe,
             min_update_obs=first.min_update_observations,
-            sel_min_obs=sel0.min_observations,
-            acquisition=sel0.acquisition,
-            degree=degree,
-            interaction_only=interaction_only,
-            guardrail=gr0,
-            detector=det0,
-            gate=gate0,
+            sel_min_obs=first.selector.min_observations,
+            profile=profiles[0],
+            guardrail=first.guardrail,
+            detector=first.switch_detector,
+            gate=first.safe_gate,
         )
+        return uniform, np.array([profile.alpha for profile in profiles])
 
     # -- buffers -----------------------------------------------------------------
 
@@ -586,15 +483,12 @@ class LockstepSessions:
             if n is None:
                 n = min(version, u.window_size)
             lo = version - n
-            X = np.empty((stale.size, n, self.dim + 1))
-            X[:, :, : self.dim] = self._vectors[stale, lo:version]
-            X[:, :, self.dim] = self._sizes[stale, lo:version]
-            fitted = fit_ridge_pipeline(
-                X,
+            fitted = fit_window_models(
+                self._vectors[stale, lo:version],
+                self._sizes[stale, lo:version],
                 self._perfs[stale, lo:version],
                 self._ridge_alphas[stale],
-                degree=u.degree,
-                interaction_only=u.interaction_only,
+                u.profile,
             )
             fitted.scatter_into(self._model, stale)
             self._model_version[stale] = version
@@ -736,16 +630,16 @@ class LockstepSessions:
                 n_w = int(n_w)
                 model = self._models_for(grp, version=t, n=n_w)
                 gated = u.gate is not None and n_w >= u.gate.min_observations
-                n_rows = m + 1 if gated else m
-                rows = np.empty((grp.size, n_rows, dim + 1))
-                rows[:, :m, :dim] = cands[pos]
-                rows[:, :, dim] = est_sizes[grp, None]
+                points = cands[pos]
                 if gated:
-                    rows[:, m, :dim] = self._default
-                mean = model.predict(rows)
-                std = np.full((grp.size, m), 1e-9)
+                    # The gate also needs H at the default configuration.
+                    default = np.broadcast_to(self._default, (grp.size, 1, dim))
+                    points = np.concatenate([points, default], axis=1)
+                mean = window_means(model, points, est_sizes[grp])
                 best = np.min(self._perfs[grp, t - n_w : t], axis=1)
-                scores = u.acquisition(mean[:, :m], std, best[:, None])
+                scores = acquisition_scores(
+                    u.profile.acquisition, mean[:, :m], best[:, None]
+                )
                 if gated:
                     # Same mask the scalar gate computes; rejecting a
                     # candidate zeroes its score via -inf, which is
@@ -946,47 +840,21 @@ class LockstepSessions:
         return fired
 
     def _update_centroids(self, upd: np.ndarray, t: int, n_win: int) -> None:
-        """FIND_BEST + ml sign gradient + overshoot, for sessions ``upd``."""
-        u = self._u
-        dim = self.dim
+        """The Alg.-1 centroid update for sessions ``upd``, whose windows
+        hold ``n_win`` observations ending at step ``t``."""
         lo = t + 1 - n_win
-        model = self._models_for(upd, version=t + 1, n=n_win)
-        w_conf = self._vectors[upd, lo : t + 1]
-        w_perf = self._perfs[upd, lo : t + 1]
-        p_latest = self._sizes[upd, t]
-
-        if u.find_best_mode is FindBestMode.MODEL:
-            rows = np.empty((upd.size, n_win, dim + 1))
-            rows[:, :, :dim] = w_conf
-            rows[:, :, dim] = p_latest[:, None]
-            best_idx = np.argmin(model.predict(rows), axis=1)
-        elif u.find_best_mode is FindBestMode.RAW:
-            best_idx = np.argmin(w_perf, axis=1)
-        else:  # NORMALIZED
-            best_idx = np.argmin(w_perf / self._sizes[upd, lo : t + 1], axis=1)
-        c_star = w_conf[np.arange(upd.size), best_idx]
-
-        alpha = self._alphas[upd] / (
+        alphas = self._alphas[upd] / (
             1.0 + self._alpha_decays[upd] * self._n_updates[upd]
         )
-        deltas = self._deltas
-        if u.probe == "multiplicative":
-            points = c_star[:, None, :] * (1.0 - alpha[:, None, None] * deltas[None])
-        else:
-            points = c_star[:, None, :] - (
-                alpha[:, None, None] * deltas[None] * self._span[None, None, :]
-            )
-        np.clip(points, self._lb, self._ub, out=points)
-        probe_rows = np.empty((upd.size, len(deltas), dim + 1))
-        probe_rows[:, :, :dim] = points
-        probe_rows[:, :, dim] = p_latest[:, None]
-        delta = deltas[np.argmin(model.predict(probe_rows), axis=1)]
-
-        if u.probe == "multiplicative":
-            new_centroid = c_star * (1.0 - alpha[:, None] * delta)
-        else:
-            new_centroid = c_star - alpha[:, None] * delta * self._span[None, :]
-        self._centroids[upd] = np.clip(new_centroid, self._lb, self._ub)
+        c_star, delta, centroid = centroid_step(
+            self._models_for(upd, version=t + 1, n=n_win),
+            self._vectors[upd, lo : t + 1],
+            self._sizes[upd, lo : t + 1],
+            self._perfs[upd, lo : t + 1],
+            alphas,
+            self._u.profile,
+        )
+        self._centroids[upd] = centroid
         self._n_updates[upd] += 1.0
         self._last_best[upd] = c_star
         self._last_delta[upd] = delta

@@ -11,10 +11,12 @@ behavior.
 import numpy as np
 import pytest
 
-from repro.core.centroid import CentroidLearning
+from repro.core.centroid import CentroidLearning, default_window_model_factory
 from repro.core.config_space import ConfigSpace, Parameter
+from repro.core.find_best import FindBestMode
 from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
+from repro.core.selectors import SurrogateSelector
 from repro.experiments.lockstep import (
     LockstepCompatibilityError,
     LockstepReplicatedRuns,
@@ -24,6 +26,13 @@ from repro.experiments.lockstep import (
 )
 from repro.experiments.runner import run_replicated, run_single
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultySimulator
+from repro.ml.acquisition import (
+    ExpectedImprovement,
+    LowerConfidenceBound,
+    ProbabilityOfImprovement,
+)
+from repro.ml.linear import PolynomialFeatures, RidgeRegression
+from repro.ml.scaler import Pipeline, StandardScaler
 from repro.optimizers.random_search import RandomSearch
 from repro.sparksim.configs import query_level_space
 from repro.sparksim.executor import SparkSimulator
@@ -35,8 +44,26 @@ from repro.workloads.tpch import tpch_plan
 N_ITERATIONS = 8
 
 
-def mixed_population():
-    """Six sessions: two plans, noise spread, faults, drift, a transform."""
+def _selector(**kwargs):
+    return {"selector": SurrogateSelector(default_window_model_factory, **kwargs)}
+
+
+# Batched shapes beyond the default: each builds a session's extra kwargs.
+SHAPES = {
+    "raw_find_best": lambda: {"find_best_mode": FindBestMode.RAW},
+    "normalized_find_best": lambda: {"find_best_mode": FindBestMode.NORMALIZED},
+    "multiplicative_probe": lambda: {"probe": "multiplicative"},
+    "ei": lambda: _selector(acquisition=ExpectedImprovement()),
+    "pi": lambda: _selector(acquisition=ProbabilityOfImprovement()),
+    "lcb": lambda: _selector(acquisition=LowerConfidenceBound()),
+}
+
+
+def mixed_population(shape=dict):
+    """Six sessions: two plans, noise spread, faults, drift, a transform.
+
+    ``shape()`` gives extra optimizer kwargs, the same for every session.
+    """
     space = query_level_space()
     specs = []
     for k in range(6):
@@ -58,6 +85,7 @@ def mixed_population():
                 guardrail=Guardrail(min_iterations=3, threshold=0.2,
                                     patience=2, cooldown=3),
                 seed=k,
+                **shape(),
             ),
             scale_fn=(lambda t: 1.0 + 0.05 * t) if k == 2 else None,
             observe_transform=(lambda t, obs: obs * 1.1) if k == 4 else None,
@@ -75,6 +103,12 @@ class TestBitIdentity:
     def test_mixed_population_matches_sequential(self):
         lock_traces = LockstepSessions(mixed_population()).run(N_ITERATIONS)
         seq_traces = run_sequential(mixed_population(), N_ITERATIONS)
+        assert_traces_equal(lock_traces, seq_traces)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_batched_shape_matches_sequential(self, shape):
+        lock_traces = LockstepSessions(mixed_population(SHAPES[shape])).run(16)
+        seq_traces = run_sequential(mixed_population(SHAPES[shape]), 16)
         assert_traces_equal(lock_traces, seq_traces)
 
     def test_single_session_matches_plain_session(self):
@@ -143,6 +177,22 @@ class TestValidation:
         spec.optimizer = Tweaked(query_level_space(), seed=0)
         with pytest.raises(LockstepCompatibilityError, match="CentroidLearning"):
             LockstepSessions([spec])
+
+    def test_rejects_subclassed_model_step(self):
+        class TweakedRidge(RidgeRegression):
+            def fit(self, X, y):
+                return super().fit(X, 2.0 * np.asarray(y))
+
+        def model_factory():
+            return Pipeline([
+                ("scale", StandardScaler()),
+                ("poly", PolynomialFeatures(degree=2)),
+                ("ridge", TweakedRidge(alpha=1.0)),
+            ])
+
+        specs = mixed_population(lambda: {"model_factory": model_factory})
+        with pytest.raises(LockstepCompatibilityError, match="model"):
+            LockstepSessions(specs)
 
     def test_rejects_mixed_guardrail_presence(self):
         specs = mixed_population()[:2]

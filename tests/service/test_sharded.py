@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.centroid import CentroidLearning
+from repro.core.centroid import CentroidLearning, default_window_model_factory
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.find_best import FindBestMode
 from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
 from repro.core.selectors import RandomSelector, SurrogateSelector
 from repro.core.switch import SafeExplorationGate, TaskSwitchDetector
-from repro.ml.acquisition import ExpectedImprovement
+from repro.ml.acquisition import (
+    ExpectedImprovement,
+    LowerConfidenceBound,
+    ProbabilityOfImprovement,
+)
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
 from repro.service.admission import Priority, ShedError
@@ -47,7 +51,72 @@ def guarded_factory(workload_id: str, signature: str) -> CentroidLearning:
     )
 
 
-FACTORIES = {"plain": optimizer_factory, "guarded": guarded_factory}
+def _window_model():
+    return Pipeline([
+        ("scale", StandardScaler()),
+        ("poly", PolynomialFeatures(degree=2, interaction_only=True)),
+        ("ridge", RidgeRegression(alpha=0.5)),
+    ])
+
+
+def mixed_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """Alternates two window-model shapes, so a shard's drains stack both."""
+    model_factory = _window_model if int(workload_id[-1]) % 2 else None
+    return CentroidLearning(
+        SPACE, model_factory=model_factory, seed=seed_of(workload_id, signature)
+    )
+
+
+UNIT_SPACE = ConfigSpace([Parameter(f"k{i}", 0.0, 1.0, 0.5) for i in range(SPACE.dim)])
+
+
+def mixed_spaces_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """Alternates two spaces of one dimension, whose bounds differ."""
+    space = UNIT_SPACE if int(workload_id[-1]) % 2 else SPACE
+    return CentroidLearning(space, seed=seed_of(workload_id, signature))
+
+
+def _selector(**kwargs):
+    return {"selector": SurrogateSelector(default_window_model_factory, **kwargs)}
+
+
+# Batched shapes beyond the default: each builds a session's extra kwargs.
+SHAPES = {
+    "raw_find_best": lambda: {"find_best_mode": FindBestMode.RAW},
+    "normalized_find_best": lambda: {"find_best_mode": FindBestMode.NORMALIZED},
+    "multiplicative_probe": lambda: {"probe": "multiplicative"},
+    "ei": lambda: _selector(acquisition=ExpectedImprovement()),
+    "pi": lambda: _selector(acquisition=ProbabilityOfImprovement()),
+    "lcb": lambda: _selector(acquisition=LowerConfidenceBound()),
+    # Scores with H one observation before the first centroid update, so
+    # the suggest phase, not the observe phase, fits that window model.
+    "early_selector": lambda: _selector(min_observations=2),
+}
+
+
+def shaped_factory(shape):
+    def factory(workload_id: str, signature: str) -> CentroidLearning:
+        return CentroidLearning(
+            SPACE, seed=seed_of(workload_id, signature), **SHAPES[shape]()
+        )
+    return factory
+
+
+def all_shapes_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """Cycles through SHAPES, so one shard's drains mix FIND_BEST modes,
+    probes, acquisitions and selector thresholds."""
+    shape = sorted(SHAPES)[int(workload_id[-2:]) % len(SHAPES)]
+    return shaped_factory(shape)(workload_id, signature)
+
+
+FACTORIES = {
+    "plain": optimizer_factory,
+    "guarded": guarded_factory,
+    "mixed": mixed_factory,
+    "mixed_spaces": mixed_spaces_factory,
+    "all_shapes": all_shapes_factory,
+    **{shape: shaped_factory(shape) for shape in SHAPES},
+}
 
 
 def fresh_service(n_shards=3, **kwargs):
@@ -198,20 +267,24 @@ class TestBatchedDrainEquivalence:
         assert ref_shard["batched_sessions"] == ref_shard["fallback_sessions"] == 0
 
 
-def _window_model():
-    return Pipeline([
-        ("scale", StandardScaler()),
-        ("poly", PolynomialFeatures(degree=2, interaction_only=True)),
-        ("ridge", RidgeRegression(alpha=0.5)),
-    ])
-
-
 def _exploding_factory():
     raise RuntimeError("no model")
 
 
 class _CustomCentroidLearning(CentroidLearning):
     pass
+
+
+class _TweakedRidge(RidgeRegression):
+    def fit(self, X, y):
+        return super().fit(X, 2.0 * np.asarray(y))
+
+
+def _ridge_pipeline(ridge_type, **kwargs):
+    return lambda: Pipeline([
+        ("scale", StandardScaler()), ("poly", PolynomialFeatures()),
+        ("ridge", ridge_type(**kwargs)),
+    ])
 
 
 WIDE_SPACE = ConfigSpace([Parameter(f"k{i}", 0.0, 1.0, 0.5) for i in range(13)])
@@ -223,7 +296,12 @@ class TestBatchProfileFor:
         {"guardrail": Guardrail()},
         {"guardrail": Guardrail(robust=True, cooldown=3)},
         {"alpha_decay": 0.1, "window_size": 5, "n_candidates": 7},
-    ], ids=["plain", "guardrail", "robust_cooldown_guardrail", "hyperparameters"])
+        {"find_best_mode": FindBestMode.RAW},
+        {"probe": "multiplicative"},
+    ], ids=[
+        "plain", "guardrail", "robust_cooldown_guardrail", "hyperparameters",
+        "raw_find_best", "multiplicative_probe",
+    ])
     def test_accepts_production_shapes(self, kwargs):
         profile = batch_profile_for(CentroidLearning(SPACE, seed=0, **kwargs))
         assert isinstance(profile, BatchProfile)
@@ -246,10 +324,7 @@ class TestBatchProfileFor:
             SPACE, guardrail=Guardrail(), switch_detector=TaskSwitchDetector()),
          "switch_detector"),
         (lambda: CentroidLearning(SPACE, safe_gate=SafeExplorationGate()), "safe_gate"),
-        (lambda: CentroidLearning(SPACE, find_best_mode=FindBestMode.RAW),
-         "find_best_mode"),
         (lambda: CentroidLearning(SPACE, gradient_mode="linear"), "gradient"),
-        (lambda: CentroidLearning(SPACE, probe="multiplicative"), "gradient"),
         (lambda: CentroidLearning(WIDE_SPACE), "dim"),
         (lambda: CentroidLearning(SPACE, selector=RandomSelector()), "selector"),
         (lambda: CentroidLearning(SPACE, selector=SurrogateSelector(
@@ -261,11 +336,16 @@ class TestBatchProfileFor:
         (lambda: CentroidLearning(SPACE, model_factory=lambda: Pipeline([
             ("scale", StandardScaler()), ("ridge", RidgeRegression()),
         ])), "model"),
+        (lambda: CentroidLearning(SPACE, model_factory=_ridge_pipeline(
+            RidgeRegression, fit_intercept=False)), "model"),
+        (lambda: CentroidLearning(SPACE, model_factory=_ridge_pipeline(
+            _TweakedRidge)), "model"),
     ], ids=[
         "subclass", "switch_detector", "guardrail_and_switch_detector", "safe_gate",
-        "raw_find_best", "linear_gradient", "multiplicative_probe", "wide_space",
+        "linear_gradient", "wide_space",
         "random_selector", "ei_acquisition", "foreign_selector_model",
         "exploding_factory", "bare_ridge", "two_step_pipeline",
+        "no_intercept_ridge", "ridge_subclass",
     ])
     def test_rejects_with_reason(self, build, reason):
         assert batch_profile_for(build()) == reason
