@@ -61,7 +61,7 @@ class GradientBoostingRegressor:
         self._stacked = None
         for _ in range(self.n_estimators):
             if self.subsample < 1.0:
-                m = max(2 * self.min_samples_leaf, int(self.subsample * n))
+                m = min(n, max(2 * self.min_samples_leaf, int(self.subsample * n)))
                 idx = self._rng.choice(n, size=m, replace=False)
             else:
                 idx = np.arange(n)

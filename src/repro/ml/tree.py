@@ -1,7 +1,10 @@
 """CART regression trees (variance-reduction splits), numpy-vectorized.
 
 Fitting builds a linked :class:`_Node` tree (the form ``ml.serialize``
-round-trips).  Prediction runs on :class:`NodeArrays`, the same tree
+round-trips).  Each node's split search scores every candidate feature
+at once (see :func:`_best_split`), with the same arithmetic per element as
+a feature-by-feature loop, so every fitted tree is bitwise that loop's.
+Prediction runs on :class:`NodeArrays`, the same tree
 flattened into node arrays and traversed for all rows at once, one tree
 level per step; an ensemble flattens all its trees into one
 :class:`NodeArrays` and descends them together.  Leaves are reached by
@@ -98,37 +101,41 @@ class NodeArrays:
 def _best_split(X, y, feature_indices, min_samples_leaf):
     """Return (feature, threshold, gain) of the best variance-reducing split.
 
-    Fully vectorized: per feature, prefix sums give every split's SSE in one
-    pass with no Python-level loop over rows.
+    One pass over all candidate features: a stable argsort of their
+    ``(F, n)`` value rows, prefix sums along each row giving every split's
+    SSE, and a per-row minimum.  The winner is the first feature, in
+    ``feature_indices`` order, whose gain is the largest and strictly
+    positive: a loop keeping ``gain > best`` from 0 picks the same one.
+    Every element sees the same operations in the same order as in that
+    per-feature loop, which ``tests/ml/test_tree_exactness.py`` keeps as
+    the reference, so the result is bitwise the loop's.
     """
     n = len(y)
     parent_sse = float(np.sum((y - y.mean()) ** 2))
-    best = (-1, 0.0, 0.0)
-    if n < 2 * min_samples_leaf:
-        return best
-    for j in feature_indices:
-        order = np.argsort(X[:, j], kind="mergesort")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum_sq = np.cumsum(ys * ys)
-        total, total_sq = csum[-1], csum_sq[-1]
-        # Candidate split puts rows [0, i) left and [i, n) right.
-        i = np.arange(1, n)
-        left_sum, left_sq = csum[:-1], csum_sq[:-1]
-        right_sum, right_sq = total - left_sum, total_sq - left_sq
-        sse = (left_sq - left_sum * left_sum / i) + (
-            right_sq - right_sum * right_sum / (n - i)
-        )
-        valid = (xs[1:] != xs[:-1]) & (i >= min_samples_leaf) & (n - i >= min_samples_leaf)
-        if not valid.any():
-            continue
-        sse = np.where(valid, sse, np.inf)
-        k = int(np.argmin(sse))
-        gain = parent_sse - float(sse[k])
-        if gain > best[2]:
-            best = (int(j), float(0.5 * (xs[k + 1] + xs[k])), gain)
-    return best
+    if n < 2 * min_samples_leaf or len(feature_indices) == 0:
+        return (-1, 0.0, 0.0)
+    rows = X.T[feature_indices]
+    order = np.argsort(rows, axis=1, kind="stable")
+    xs = np.take_along_axis(rows, order, axis=1)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    csum_sq = np.cumsum(ys * ys, axis=1)
+    # Column k = i - 1 puts sorted rows [0, i) left and [i, n) right.
+    i = np.arange(1, n)
+    left_sum, left_sq = csum[:, :-1], csum_sq[:, :-1]
+    right_sum, right_sq = csum[:, -1:] - left_sum, csum_sq[:, -1:] - left_sq
+    sse = (left_sq - left_sum * left_sum / i) + (
+        right_sq - right_sum * right_sum / (n - i)
+    )
+    valid = (xs[:, 1:] != xs[:, :-1]) & (i >= min_samples_leaf) & (n - i >= min_samples_leaf)
+    sse[~valid] = np.inf  # a feature with no valid split gets gain -inf
+    gain = parent_sse - sse.min(axis=1)
+    f = int(np.argmax(gain))
+    if not gain[f] > 0:
+        return (-1, 0.0, 0.0)
+    k = int(np.argmin(sse[f]))
+    threshold = float(0.5 * (xs[f, k + 1] + xs[f, k]))
+    return (int(feature_indices[f]), threshold, float(gain[f]))
 
 
 class DecisionTreeRegressor:

@@ -87,6 +87,16 @@ class TestGradientBoosting:
         ).fit(X, y)
         assert r2_score(y, model.predict(X)) > 0.5
 
+    def test_subsample_with_leaf_floor_above_row_count(self, friedman_like):
+        # 2 * min_samples_leaf = 6 rows exceed the 5-row table (the smallest
+        # BaselineModelTrainer.train accepts): the draw is capped at 5.
+        X, y = friedman_like
+        model = GradientBoostingRegressor(
+            n_estimators=2, subsample=0.5, min_samples_leaf=3, seed=0
+        ).fit(X[:5], y[:5])
+        assert len(model._trees) == 2
+        assert np.allclose(model.predict(X[:5]), y[:5].mean())
+
     def test_zero_stage_predicts_mean(self, friedman_like):
         X, y = friedman_like
         model = GradientBoostingRegressor(n_estimators=1, learning_rate=1e-9, seed=0)
