@@ -2,7 +2,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: test chaos telemetry retrieval service verify drift stages coverage bench bench-perf bench-telemetry bench-retrieval bench-service bench-importance all
 
-test:            ## fast tier-1 suite (chaos/verify deselected)
+test:            ## fast tier-1 suite (verify/stages deselected)
 	$(PYTEST) -x -q
 
 chaos:           ## fault-injection suite (docs/resilience.md)
@@ -33,7 +33,7 @@ bench:           ## pytest-benchmark harness
 	$(PYTEST) benchmarks/ --benchmark-only
 
 bench-perf:      ## perf micro-benchmarks + regression guards -> BENCH_perf.json
-	$(PYTEST) benchmarks/bench_perf_gp_update.py benchmarks/bench_perf_scoring.py benchmarks/bench_perf_batch.py benchmarks/bench_perf_parallel.py benchmarks/bench_perf_lockstep.py benchmarks/bench_perf_telemetry.py benchmarks/bench_perf_retrieval.py -q
+	$(PYTEST) benchmarks/bench_perf_gp_update.py benchmarks/bench_perf_scoring.py benchmarks/bench_perf_batch.py benchmarks/bench_perf_lockstep.py benchmarks/bench_perf_telemetry.py benchmarks/bench_perf_retrieval.py -q
 
 bench-telemetry: ## telemetry overhead bench -> telemetry section of BENCH_perf.json
 	$(PYTEST) benchmarks/bench_perf_telemetry.py -q
@@ -47,4 +47,4 @@ bench-service:   ## fleet-scale service bench (full scale) -> BENCH_service.json
 bench-importance: ## sensitivity-sweep + pruning benches -> importance section of BENCH_perf.json
 	$(PYTEST) benchmarks/bench_perf_importance.py -q
 
-all: test chaos telemetry service verify
+all: test telemetry service verify

@@ -8,21 +8,16 @@ By default the reduced *quick* configurations run; set ``REPRO_BENCH_FULL=1``
 for paper-scale replication counts.
 """
 
-import inspect
 import os
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import WORKERS_ENV
 from repro.experiments.report import render_result, result_to_json
 
 FULL_MODE = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 OUTPUT_DIR = Path(__file__).parent / "output"
-# Benchmarks default to every available core; $REPRO_WORKERS still wins so a
-# timing run can be pinned serial for apples-to-apples comparisons.
-BENCH_WORKERS = os.environ.get(WORKERS_ENV, "auto")
 
 # The bench_perf_* modules deposit their sections here; pytest_sessionfinish
 # assembles them into BENCH_perf.json at the repo root (docs/performance.md).
@@ -71,8 +66,10 @@ def provenance():
     """What each freshly written section records about the run behind it."""
     import platform
 
-    from repro.experiments.parallel import available_workers
-
+    try:
+        n_cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity API on this platform
+        n_cpus = os.cpu_count()
     if os.environ.get("REPRO_BENCH_SMOKE", "0") == "1":
         mode = "smoke"  # CI sizes
     else:
@@ -80,7 +77,7 @@ def provenance():
     return {
         "mode": mode,
         "git_sha": _git_sha(),
-        "n_cpus": available_workers(),
+        "n_cpus": n_cpus,
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
@@ -157,12 +154,9 @@ def run_experiment(benchmark, bench_output_dir):
     rendered report."""
 
     def _run(module, **kwargs):
-        run_kwargs = {"quick": not FULL_MODE, **kwargs}
-        if "n_workers" in inspect.signature(module.run).parameters:
-            run_kwargs.setdefault("n_workers", BENCH_WORKERS)
         result = benchmark.pedantic(
             module.run,
-            kwargs=run_kwargs,
+            kwargs={"quick": not FULL_MODE, **kwargs},
             rounds=1,
             iterations=1,
         )

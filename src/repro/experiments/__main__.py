@@ -3,13 +3,11 @@
     python -m repro.experiments                 # all, quick mode
     python -m repro.experiments fig10 fig13     # a subset
     python -m repro.experiments --full          # paper-scale replication
-    python -m repro.experiments --workers auto  # fan out over all cores
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 
@@ -26,9 +24,6 @@ def main(argv=None) -> int:
     parser.add_argument("--full", action="store_true",
                         help="paper-scale replication counts (slow)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", default=None, metavar="N",
-                        help="process-pool size: an integer or 'auto' "
-                             "(default: $REPRO_WORKERS, else serial)")
     args = parser.parse_args(argv)
 
     names = args.experiments or list(ALL_EXPERIMENTS)
@@ -38,11 +33,7 @@ def main(argv=None) -> int:
 
     for name in names:
         start = time.time()
-        run = ALL_EXPERIMENTS[name].run
-        kwargs = {"quick": not args.full, "seed": args.seed}
-        if "n_workers" in inspect.signature(run).parameters:
-            kwargs["n_workers"] = args.workers
-        result = run(**kwargs)
+        result = ALL_EXPERIMENTS[name].run(quick=not args.full, seed=args.seed)
         print(render_result(result))
         print(f"  [{name} took {time.time() - start:.1f}s]\n")
     return 0

@@ -28,7 +28,6 @@ from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .platform_v0 import build_v0_platform, platform_training_table
 from .runner import ExperimentResult
 
@@ -41,7 +40,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:5] if quick else query_ids
     n_configs = 40 if quick else 120
@@ -89,9 +87,7 @@ def run(
             from_iter5 = float(trace.true[5:].mean())
             return trace.true, (default_time / from_iter5 - 1.0) * 100.0
 
-        per_query = parallel_map(
-            tune_query, list(enumerate(query_ids)), n_workers=n_workers
-        )
+        per_query = [tune_query(item) for item in enumerate(query_ids)]
         totals = np.zeros(n_iterations)
         for true_trace, improvement in per_query:
             totals += true_trace

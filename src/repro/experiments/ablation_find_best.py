@@ -28,7 +28,6 @@ from ..ml.scaler import Pipeline, StandardScaler
 from ..sparksim.noise import NoiseModel
 from ..workloads.dynamics import RandomWalkSize
 from ..workloads.synthetic import default_synthetic_objective
-from .parallel import parallel_map
 from .runner import ExperimentResult, run_replicated
 
 __all__ = ["run"]
@@ -83,7 +82,7 @@ def _selection_regret(objective, mode, n_windows, window_size, rng) -> np.ndarra
     return regrets
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_windows = 60 if quick else 400
     window_size = 10
     n_runs = 8 if quick else 40
@@ -111,9 +110,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
         rng = np.random.default_rng(seed * 17 + index)
         return _selection_regret(objective, mode, n_windows, window_size, rng)
 
-    regret_runs = parallel_map(
-        regret_for, list(enumerate(MODES.values())), n_workers=n_workers
-    )
+    regret_runs = [regret_for(item) for item in enumerate(MODES.values())]
     for (label, _), regrets in zip(MODES.items(), regret_runs):
         result.series[f"{label}_regret_sorted"] = np.sort(regrets)
         result.scalars[f"{label}_mean_regret"] = float(regrets.mean())
@@ -131,7 +128,6 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
             n_runs,
             size_process_factory=size_factory,
             seed=seed + 101 * index,
-            n_workers=n_workers,
         )
         result.series[f"{label}_tuning"] = bands
         result.scalars[f"{label}_final_median"] = bands.final_median()

@@ -28,7 +28,6 @@ def run(
     seed: int = 0,
     window_sizes: Sequence[int] = WINDOW_SIZES,
     alphas: Sequence[float] = ALPHAS,
-    n_workers=None,
 ) -> ExperimentResult:
     n_runs = 8 if quick else 50
     n_iterations = 80 if quick else 300
@@ -52,7 +51,6 @@ def run(
             n_iterations,
             n_runs,
             seed=seed + N,
-            n_workers=n_workers,
         )
         result.series[f"window_{N}"] = bands
         result.scalars[f"window_{N}_final_median"] = bands.final_median()
@@ -64,7 +62,6 @@ def run(
             n_iterations,
             n_runs,
             seed=seed + int(alpha * 1000),
-            n_workers=n_workers,
         )
         label = f"alpha_{alpha:g}"
         result.series[label] = bands

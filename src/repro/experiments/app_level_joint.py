@@ -20,7 +20,6 @@ from ..sparksim.configs import app_level_space, full_space, query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import low_noise, no_noise
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -32,7 +31,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:2] if quick else query_ids
     n_observations = 40 if quick else 150
@@ -56,8 +54,7 @@ def run(
         return full
 
     # Phase 1: gather (noisy) observations per query over the joint space.
-    # Each query owns its sampling RNG and simulator seed so the fan-out is
-    # deterministic regardless of how the pool interleaves the work.
+    # Each query owns its sampling RNG and simulator seed.
     def observe_query(indexed_plan):
         k, plan = indexed_plan
         observe_sim = SparkSimulator(noise=low_noise(), seed=seed + 1 + 97 * k)
@@ -77,7 +74,7 @@ def run(
         ])
         return vectors, times, model, centroid
 
-    phase1 = parallel_map(observe_query, list(enumerate(plans)), n_workers=n_workers)
+    phase1 = [observe_query(item) for item in enumerate(plans)]
     contexts: List[QueryTuningContext] = []
     per_query_obs = []
     for plan, (vectors, times, model, centroid) in zip(plans, phase1):

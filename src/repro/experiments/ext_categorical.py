@@ -30,7 +30,6 @@ from ..sparksim.configs import (
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -42,7 +41,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:2] if quick else query_ids
     n_iterations = 25 if quick else 60
@@ -101,9 +99,7 @@ def run(
         mixed_gain = (default_time / float(np.mean(trues[-w:])) - 1.0) * 100.0
         return cont_gain, mixed_gain
 
-    per_query = parallel_map(
-        tune_query, list(enumerate(query_ids)), n_workers=n_workers
-    )
+    per_query = [tune_query(item) for item in enumerate(query_ids)]
     cont_gains: List[float] = []
     mixed_gains: List[float] = []
     for qid, (cont_gain, mixed_gain) in zip(query_ids, per_query):

@@ -23,13 +23,12 @@ from ..core.conservative import ConservativePolicy
 from ..core.observation import Observation
 from ..sparksim.noise import NoiseModel
 from ..workloads.synthetic import default_synthetic_objective
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_runs = 8 if quick else 40
     n_iterations = 90 if quick else 240
     regression_start = n_iterations // 3
@@ -84,7 +83,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
                 float(getattr(opt, "pause_count", 0)),
             )
 
-        per_run = parallel_map(one_run, range(n_runs), n_workers=n_workers)
+        per_run = [one_run(i) for i in range(n_runs)]
         runs = np.stack([row for row, _, _ in per_run])
         explore_during_regression = [e for _, e, _ in per_run]
         pauses = [p for _, _, p in per_run]

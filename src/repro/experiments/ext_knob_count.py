@@ -25,7 +25,6 @@ from ..sparksim.configs import manual_study_space, query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -37,7 +36,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:2] if quick else query_ids
     n_iterations = 30 if quick else 80
@@ -75,9 +73,7 @@ def run(
                 costs[label][t] = res.true_seconds * cores
         return default_time, times, costs
 
-    per_query = parallel_map(
-        tune_query, list(enumerate(query_ids)), n_workers=n_workers
-    )
+    per_query = [tune_query(item) for item in enumerate(query_ids)]
     totals = {label: np.zeros(n_iterations) for label in spaces}
     cost_totals = {label: np.zeros(n_iterations) for label in spaces}
     default_total = 0.0

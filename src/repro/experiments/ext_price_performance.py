@@ -24,7 +24,6 @@ from ..sparksim.configs import manual_study_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -38,7 +37,6 @@ def run(
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
     weights: Sequence[float] = WEIGHTS,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:2] if quick else query_ids
     n_iterations = 30 if quick else 80
@@ -95,7 +93,7 @@ def run(
         for weight in weights
         for k, qid in enumerate(query_ids)
     ]
-    traces = parallel_map(tune_one, items, n_workers=n_workers)
+    traces = [tune_one(item) for item in items]
     for weight in weights:
         total_time = np.zeros(n_iterations)
         total_cost = np.zeros(n_iterations)

@@ -23,13 +23,12 @@ from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.streaming import MicroBatchStream
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_streams = 4 if quick else 12
     n_batches = 60 if quick else 200
     space = query_level_space()
@@ -75,7 +74,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
         ]))
         return (default / tuned - 1.0) * 100.0, tuned < default, partitions
 
-    per_stream = parallel_map(tune_stream, range(n_streams), n_workers=n_workers)
+    per_stream = [tune_stream(i) for i in range(n_streams)]
     latency_gains: List[float] = [g for g, _, _ in per_stream]
     final_partitions: List[float] = [p for _, _, p in per_stream]
     improved = sum(int(i) for _, i, _ in per_stream)

@@ -16,7 +16,6 @@ from ..sparksim.configs import SHUFFLE_PARTITIONS, query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import no_noise
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
@@ -31,7 +30,6 @@ def run(
     seed: int = 0,
     query_ids: Optional[Sequence[int]] = None,
     scale_factor: float = 100.0,
-    n_workers=None,
 ) -> ExperimentResult:
     """Sweep shuffle partitions for several queries on the noiseless simulator."""
     query_ids = tuple(query_ids or DEFAULT_QUERIES)
@@ -63,7 +61,7 @@ def run(
         ]
         return simulator.true_time_batch(plan, configs)
 
-    sweeps = parallel_map(sweep, query_ids, n_workers=n_workers)
+    sweeps = [sweep(qid) for qid in query_ids]
     optima: List[float] = []
     for qid, times in zip(query_ids, sweeps):
         label = f"tpcds_q{qid:02d}_seconds"

@@ -23,7 +23,6 @@ def run(
     seed: int = 0,
     n_runs: int = None,
     n_iterations: int = None,
-    n_workers=None,
 ) -> ExperimentResult:
     # The paper uses 200 runs of 400 iterations; the GP refits make that
     # ~30 min of compute, so full mode defaults to 60×250 (the bands are
@@ -40,7 +39,6 @@ def run(
         n_iterations,
         n_runs,
         seed=seed,
-        n_workers=n_workers,
     )
     flow2 = run_replicated(
         lambda i: FLOW2(space, seed=seed + i),
@@ -48,7 +46,6 @@ def run(
         n_iterations,
         n_runs,
         seed=seed + 1,
-        n_workers=n_workers,
     )
 
     result = ExperimentResult(

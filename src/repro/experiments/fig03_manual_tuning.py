@@ -22,7 +22,6 @@ from ..sparksim.configs import manual_study_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import no_noise
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run", "ExpertPolicy"]
@@ -111,7 +110,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     n_experts = 8 if quick else 50
     n_iterations = 15 if quick else 40
@@ -165,7 +163,7 @@ def run(
             bo_trace,
         )
 
-    per_query = parallel_map(tune_query, query_ids, n_workers=n_workers)
+    per_query = [tune_query(qid) for qid in query_ids]
     bo_wins_at_half = 0
     expert_wins_final = 0
     for qid, (expert_mean, best_expert_final, bo_trace) in zip(query_ids, per_query):

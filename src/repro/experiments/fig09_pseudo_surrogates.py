@@ -26,7 +26,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     levels: Sequence[int] = DEFAULT_LEVELS,
-    n_workers=None,
 ) -> ExperimentResult:
     n_runs = 10 if quick else 100
     n_iterations = 80 if quick else 400
@@ -50,7 +49,6 @@ def run(
             n_iterations,
             n_runs,
             seed=seed + level,
-            n_workers=n_workers,
         )
         result.series[f"level_{level}"] = bands
         result.scalars[f"level_{level}_final_median"] = bands.final_median()

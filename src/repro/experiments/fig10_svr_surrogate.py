@@ -50,15 +50,14 @@ class InstrumentedSVRSelector(SurrogateSelector):
         return index
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_runs = 10 if quick else 100
     n_iterations = 80 if quick else 400
     objective = default_synthetic_objective(noise=high_noise(), seed=7)
     space = objective.space
 
     # The selector's percentile log lives inside each run's optimizer, so it
-    # is harvested with a collect hook — parent-side lists would stay empty
-    # when the runs execute in forked pool workers.
+    # is harvested with a collect hook.
     def factory(i: int) -> CentroidLearning:
         selector = InstrumentedSVRSelector(objective.true_value)
         return CentroidLearning(space, selector=selector, seed=seed + i)
@@ -67,8 +66,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
         return list(optimizer.selector.selection_percentiles)
 
     bands, collected = run_replicated(
-        factory, objective, n_iterations, n_runs, seed=seed,
-        n_workers=n_workers, collect=harvest,
+        factory, objective, n_iterations, n_runs, seed=seed, collect=harvest,
     )
 
     def factory_gap(i: int) -> CentroidLearning:
@@ -77,7 +75,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
 
     gap_bands = run_replicated(
         factory_gap, objective, n_iterations, n_runs, seed=seed + 1,
-        track="gap", n_workers=n_workers,
+        track="gap",
     )
 
     percentiles = np.concatenate([p for p in collected if p])

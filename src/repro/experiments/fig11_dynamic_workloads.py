@@ -18,7 +18,7 @@ from .runner import ExperimentResult, run_replicated
 __all__ = ["run"]
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_runs = 8 if quick else 60
     n_iterations = 80 if quick else 400
     objective = default_synthetic_objective(noise=high_noise(), seed=7)
@@ -47,7 +47,6 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
             size_process_factory=process_factory,
             seed=seed,
             track="normed",
-            n_workers=n_workers,
         )
         gap = run_replicated(
             lambda i: CentroidLearning(space, seed=5000 + seed + i),
@@ -57,7 +56,6 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
             size_process_factory=process_factory,
             seed=seed + 1,
             track="gap",
-            n_workers=n_workers,
         )
         result.series[f"{label}_normed"] = perf
         result.series[f"{label}_gap"] = gap

@@ -24,7 +24,6 @@ from ..offline.transfer import FineTunedSurrogate
 from ..ml.boosting import GradientBoostingRegressor
 from ..sparksim.configs import query_level_space
 from ..sparksim.noise import NoiseModel
-from .parallel import parallel_map
 from .platform_v0 import PrerecordedQuery, build_v0_platform, platform_training_table
 from .runner import ExperimentResult
 
@@ -84,7 +83,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     sample_sizes: Optional[Sequence[int]] = None,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = (2, 7, 13, 21, 40) if quick else tuple(range(1, 19))
     n_configs = 60 if quick else 275
@@ -123,10 +121,9 @@ def run(
             rng=np.random.default_rng(seed * 31 + qid),
         )
 
-    # One work item per (sample size, target query): the full cross product
-    # is embarrassingly parallel, so dispatch it in a single pool pass.
+    # One work item per (sample size, target query).
     items = [(size, qid) for size in sizes for qid in platform]
-    traces = parallel_map(trace_for, items, n_workers=n_workers)
+    traces = [trace_for(item) for item in items]
     for size in sizes:
         totals = np.zeros(n_iterations)
         for (s, _), trace in zip(items, traces):

@@ -20,7 +20,6 @@ from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpcds import tpcds_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run", "poor_start_vector"]
@@ -43,7 +42,6 @@ def run(
     quick: bool = False,
     seed: int = 0,
     query_ids: Sequence[int] = DEFAULT_QUERIES,
-    n_workers=None,
 ) -> ExperimentResult:
     query_ids = query_ids[:3] if quick else query_ids
     n_iterations = 15 if quick else 60
@@ -85,9 +83,7 @@ def run(
                 traces[name][t] = res.true_seconds
         return traces["cl"], traces["cbo"], poor, default
 
-    per_query = parallel_map(
-        tune_query, list(enumerate(query_ids)), n_workers=n_workers
-    )
+    per_query = [tune_query(item) for item in enumerate(query_ids)]
     cl_total = np.zeros(n_iterations)
     cbo_total = np.zeros(n_iterations)
     poor_total = 0.0

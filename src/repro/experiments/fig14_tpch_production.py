@@ -26,13 +26,12 @@ from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import NoiseModel
 from ..workloads.tpch import TPCH_QUERY_IDS, tpch_plan
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     query_ids: Sequence[int] = TPCH_QUERY_IDS[:6] if quick else TPCH_QUERY_IDS
     n_iterations = 20 if quick else 40
     flight_queries = [1, 5, 9, 13] if quick else list(range(1, 25))
@@ -85,10 +84,8 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
         return trace.observed, trace.true, (qid, first / last - 1.0, first - last)
 
     # The offline flighting above is one shared pass; the per-query online
-    # tuning sessions are independent and fan out across the pool.
-    per_query = parallel_map(
-        tune_query, list(enumerate(query_ids)), n_workers=n_workers
-    )
+    # tuning sessions are independent.
+    per_query = [tune_query(item) for item in enumerate(query_ids)]
     observed_total = np.zeros(n_iterations)
     true_total = np.zeros(n_iterations)
     gains = []

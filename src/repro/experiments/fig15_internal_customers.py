@@ -19,8 +19,7 @@ from ..core.centroid import CentroidLearning
 from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..workloads.customer import CustomerWorkload, generate_population
-from .lockstep import LockstepSessions, SessionSpec, run_sequential
-from .parallel import parallel_map
+from .lockstep import LockstepSessions, SessionSpec
 from .runner import ExperimentResult
 
 __all__ = ["run", "tune_workload", "workload_specs"]
@@ -36,7 +35,7 @@ def workload_specs(
     Seeds derive per query exactly like the historical per-query loop
     (simulator ``seed*101+q``, optimizer ``seed*13+q``); the pathology
     multiplier draws from a per-query RNG (``seed*10007+q``, the
-    ``parallel`` engine's derivation pattern) so queries are independent
+    replicated runner's derivation pattern) so queries are independent
     streams under any engine.
     """
     space = query_level_space()
@@ -69,27 +68,20 @@ def tune_workload(
     n_iterations: int,
     seed: int,
     guardrail_factory=None,
-    engine: str = "lockstep",
 ) -> dict:
     """Tune every query of one recurring notebook; returns summary stats.
 
-    The notebook's queries run as a lock-step population by default
-    (``engine="lockstep"``); ``engine="sequential"`` drives the identical
-    :class:`~repro.core.session.TuningSession` loop per query and is
-    bit-identical by the engine's contract (the differential oracle in
-    :mod:`repro.verify.diff` pins this).
+    The notebook's queries run as one lock-step population, bit-identical
+    to a per-query :class:`~repro.core.session.TuningSession` loop by the
+    engine's contract (the differential oracle in :mod:`repro.verify.diff`
+    pins this).
 
     Returns a dict with ``speedup_pct`` (first vs last window, normalized by
     data scale), ``disabled`` (guardrail fired on any query), and
     ``n_queries``.
     """
-    if engine not in ("lockstep", "sequential"):
-        raise ValueError(f"unknown engine {engine!r}")
     specs = workload_specs(workload, seed, guardrail_factory)
-    if engine == "lockstep":
-        traces = LockstepSessions(specs).run(n_iterations)
-    else:
-        traces = run_sequential(specs, n_iterations)
+    traces = LockstepSessions(specs).run(n_iterations)
 
     scales = np.array([workload.data_scale(t) for t in range(n_iterations)])
     if workload.pathology == "drift":
@@ -120,7 +112,7 @@ def tune_workload(
     }
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_workloads = 12 if quick else 60
     n_iterations = 14 if quick else 40
     population = generate_population(
@@ -132,9 +124,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
         i, workload = indexed_workload
         return tune_workload(workload, n_iterations, seed=seed * 7 + i)["speedup_pct"]
 
-    speedups = np.array(
-        parallel_map(tune_one, list(enumerate(population)), n_workers=n_workers)
-    )
+    speedups = np.array([tune_one(item) for item in enumerate(population)])
     result = ExperimentResult(
         name="fig15_internal_customers",
         description=(

@@ -22,13 +22,12 @@ import numpy as np
 from ..core.guardrail import Guardrail
 from ..workloads.customer import generate_population
 from .fig15_internal_customers import tune_workload
-from .parallel import parallel_map
 from .runner import ExperimentResult
 
 __all__ = ["run"]
 
 
-def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     n_workloads = 16 if quick else 90
     n_iterations = 18 if quick else 50
     guardrail_min = 8 if quick else 30
@@ -47,9 +46,7 @@ def run(quick: bool = False, seed: int = 0, n_workers=None) -> ExperimentResult:
             guardrail_factory=guardrail_factory,
         )
 
-    per_workload = parallel_map(
-        tune_one, list(enumerate(population)), n_workers=n_workers
-    )
+    per_workload = [tune_one(item) for item in enumerate(population)]
     speedups: List[float] = [s["speedup_pct"] for s in per_workload]
     disabled_flags: List[bool] = [s["disabled"] for s in per_workload]
     pathological_flags: List[bool] = [

@@ -9,15 +9,18 @@ matrix for any optimizer on any synthetic objective, and
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import telemetry
 from ..core.observation import Observation
 from ..core.optimizer_base import Optimizer
 from ..workloads.dynamics import ConstantSize, DataSizeProcess
 from ..workloads.synthetic import SyntheticObjective
+from .lockstep import LockstepCompatibilityError, LockstepReplicatedRuns
 
 __all__ = ["ConvergenceBands", "ExperimentResult", "run_replicated", "run_single"]
 
@@ -144,85 +147,64 @@ def run_replicated(
     size_process_factory: Optional[Callable[[int], DataSizeProcess]] = None,
     seed: int = 0,
     track: str = "true",
-    n_workers: Union[int, str, None] = None,
     collect: Optional[Callable[[Optimizer], Any]] = None,
-    engine: str = "auto",
 ) -> Union[ConvergenceBands, Tuple[ConvergenceBands, List[Any]]]:
     """Repeat :func:`run_single` over ``n_runs`` independent seeds.
 
-    When every run is a default-structured Centroid Learning session (one
-    shared workload family), the runs advance in lock-step on the
-    vectorized engine in :mod:`repro.experiments.lockstep` — bit-identical
-    to the serial loop by construction.  Populations outside that envelope
-    (other optimizer types, custom selectors, robust guardrails) dispatch
-    over the process-pool engine in :mod:`repro.experiments.parallel`; each
-    run derives its RNG from ``(seed, run_index)`` and owns a fresh
-    optimizer, so the resulting runs matrix is bit-identical regardless of
-    the worker count or engine choice.
+    Run ``i`` owns the optimizer ``optimizer_factory(i)``, the size process
+    ``size_process_factory(i)`` and a noise RNG seeded ``seed*10007 + i``;
+    each factory is called once per run.  When every run is a
+    default-structured Centroid Learning session (one shared workload
+    family), the runs advance in lock-step on the vectorized engine in
+    :mod:`repro.experiments.lockstep`, bit-identical to the plain loop by
+    construction.  Other populations (other optimizer types, custom
+    selectors, robust guardrails) run one after another in this process.
 
     Args:
-        optimizer_factory: ``run_index -> fresh optimizer``.  With more than
-            one worker the factory executes in a forked child, so parent-side
-            side effects (e.g. appending to a list) are lost — use
-            ``collect`` to bring per-run state back instead.
+        optimizer_factory: ``run_index -> fresh optimizer``.
         objective: shared synthetic objective.
         n_iterations: iterations per run.
         n_runs: replication count (the paper uses 100–200).
         size_process_factory: ``run_index -> size process`` (default constant).
         seed: base seed; run ``i`` draws noise from ``seed*10007 + i``.
         track: see :func:`run_single`.
-        n_workers: process count — ``None`` defers to ``$REPRO_WORKERS``
-            (default serial), ``"auto"``/``0`` use every available core.
-        collect: optional ``finished optimizer -> picklable payload`` hook;
-            when given, the return value becomes ``(bands, payloads)`` with
-            one payload per run, in run order.
-        engine: ``"auto"`` (lock-step when the population is compatible,
-            process pool otherwise), ``"lockstep"`` (raise on incompatible
-            populations) or ``"process"``.
+        collect: optional ``finished optimizer -> payload`` hook; when
+            given, the return value becomes ``(bands, payloads)`` with one
+            payload per run, in run order.
     """
-    if engine not in ("auto", "lockstep", "process"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine != "process":
-        from .lockstep import LockstepCompatibilityError, LockstepReplicatedRuns
-
-        if track not in ("true", "normed", "gap"):
-            raise ValueError(f"unknown track mode {track!r}")
-        optimizers = [optimizer_factory(i) for i in range(n_runs)]
-        try:
-            lockstep = LockstepReplicatedRuns(
-                optimizers,
-                objective,
-                [
-                    size_process_factory(i) if size_process_factory
-                    else ConstantSize(objective.reference_size)
-                    for i in range(n_runs)
-                ],
-                [np.random.default_rng(seed * 10007 + i) for i in range(n_runs)],
-            )
-        except LockstepCompatibilityError:
-            if engine == "lockstep":
-                raise
-        else:
-            lockstep.advance(n_iterations)
-            bands = ConvergenceBands(lockstep.runs(track))
-            if collect is not None:
-                return bands, [collect(opt) for opt in optimizers]
-            return bands
-
-    from .parallel import run_replicated_parallel
-
-    runs, payloads = run_replicated_parallel(
-        optimizer_factory,
-        objective,
-        n_iterations,
-        n_runs,
-        size_process_factory=size_process_factory,
-        seed=seed,
-        track=track,
-        n_workers=n_workers,
-        collect=collect,
-    )
+    if n_runs < 1 or n_iterations < 1:
+        raise ValueError("n_runs and n_iterations must be >= 1")
+    if track not in ("true", "normed", "gap"):
+        raise ValueError(f"unknown track mode {track!r}")
+    optimizers = [optimizer_factory(i) for i in range(n_runs)]
+    processes = [
+        size_process_factory(i) if size_process_factory
+        else ConstantSize(objective.reference_size)
+        for i in range(n_runs)
+    ]
+    rngs = [np.random.default_rng(seed * 10007 + i) for i in range(n_runs)]
+    try:
+        # Validation raises before the engine touches any optimizer, size
+        # process or RNG, so a rejected population runs from the same state.
+        lockstep = LockstepReplicatedRuns(optimizers, objective, processes, rngs)
+    except LockstepCompatibilityError:
+        rows = []
+        for optimizer, process, rng in zip(optimizers, processes, rngs):
+            started = time.perf_counter() if telemetry.enabled() else None
+            rows.append(run_single(
+                optimizer, objective, n_iterations,
+                size_process=process, rng=rng, track=track,
+            ))
+            telemetry.counter("experiments.runs").inc()
+            if started is not None:
+                telemetry.histogram("experiments.run_seconds").observe(
+                    time.perf_counter() - started
+                )
+        runs = np.stack(rows)
+    else:
+        lockstep.advance(n_iterations)
+        runs = lockstep.runs(track)
     bands = ConvergenceBands(runs)
     if collect is not None:
-        return bands, payloads
+        return bands, [collect(optimizer) for optimizer in optimizers]
     return bands

@@ -32,9 +32,7 @@ Request path::
 
 All ``service.*`` telemetry is namespaced so the ``diff_sharded_single``
 oracle can compare sharded-vs-single counter trails while ignoring the
-deployment-shaped counters.  :meth:`plant_misroute` deliberately breaks the
-ring contract for one workload — the oracle's sensitivity test uses it to
-prove the bit-identity check actually bites.
+deployment-shaped counters.
 """
 
 from __future__ import annotations
@@ -158,8 +156,6 @@ class ShardedAutotuneService:
         self.ring = ConsistentHashRing(replicas=ring_replicas)
         for _ in range(n_shards):
             self._spawn_shard()
-        self._misroutes: Dict[str, Tuple[str, int]] = {}
-        self._workload_submits: Dict[str, int] = {}
         self.submitted = 0
         self.shed = 0
         self.outages = 0
@@ -196,26 +192,8 @@ class ShardedAutotuneService:
     # -- routing -----------------------------------------------------------------
 
     def route(self, workload_id: str) -> str:
-        """The shard that should serve ``workload_id`` (misroutes applied)."""
-        planted = self._misroutes.get(workload_id)
-        if planted is not None:
-            to_shard, after = planted
-            if self._workload_submits.get(workload_id, 0) >= after:
-                telemetry.counter("service.ring.misroutes").inc()
-                return to_shard
+        """The shard that should serve ``workload_id``."""
         return self.ring.owner(workload_id)
-
-    def plant_misroute(self, workload_id: str, to_shard: str, after: int = 0) -> None:
-        """Deliberately violate the ring contract for one workload.
-
-        From the ``after``-th submit on, ``workload_id`` routes to
-        ``to_shard`` *without* a state handoff — the receiving shard spins
-        up a fresh session, which is exactly the divergence the
-        ``diff_sharded_single`` sensitivity test expects to catch.
-        """
-        if to_shard not in self._shards:
-            raise KeyError(f"unknown shard {to_shard!r}")
-        self._misroutes[workload_id] = (to_shard, after)
 
     # -- request intake ----------------------------------------------------------
 
@@ -223,9 +201,6 @@ class ShardedAutotuneService:
         """Route + admit ``request``; never blocks, sheds under overload."""
         request.submitted_at = request.submitted_at or self.clock()
         shard = self._shards[self.route(request.workload_id)]
-        self._workload_submits[request.workload_id] = (
-            self._workload_submits.get(request.workload_id, 0) + 1
-        )
         verdict = shard.queue.offer(request, request.priority)
         self.submitted += 1
         if verdict.accepted:

@@ -5,8 +5,7 @@ The observability layer every production component reports through (see
 Three kinds of signal:
 
 * **metrics** (:mod:`.registry`) — counters / gauges / histograms with
-  labels, thread-safe, snapshot/reset/merge for tests and for folding
-  forked-worker registries back into the parent;
+  labels, thread-safe, with snapshot/reset for tests;
 * **spans** (:mod:`.tracing`) — nested timing contexts exported in-memory
   or as JSONL, from which a tuning session can be reconstructed;
 * **events** (:mod:`.events`) — discrete structured facts (fallbacks,
@@ -51,7 +50,7 @@ from .tracing import (
 __all__ = [
     # facade
     "enabled", "enable", "disable", "counter", "gauge", "histogram",
-    "span", "current_span", "emit", "snapshot", "dump", "merge", "reset",
+    "span", "current_span", "emit", "snapshot", "reset",
     "registry", "tracer", "events", "capture", "Capture",
     # building blocks
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "render_key",
@@ -192,14 +191,6 @@ def emit(name: str, **fields: object) -> Optional[TelemetryEvent]:
 def snapshot() -> Dict[str, Dict[str, object]]:
     """The active registry's snapshot (works whether or not enabled)."""
     return _registry.snapshot()
-
-
-def dump():
-    return _registry.dump()
-
-
-def merge(dumped) -> None:
-    _registry.merge(dumped)
 
 
 def reset() -> None:

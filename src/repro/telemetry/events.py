@@ -1,10 +1,10 @@
 """Structured event log: discrete, append-only facts about a run.
 
 Where metrics aggregate and spans time, events *narrate*: "the guardrail
-disabled tuning at iteration 41", "the parallel engine fell back to
-serial because the pool died".  Each event is a name plus free-form
-fields, stamped with a monotone sequence number (no wall clock — chaos
-replays must produce bit-identical logs).
+disabled tuning at iteration 41", "the guardrail re-enabled tuning after
+its cooldown".  Each event is a name plus free-form fields, stamped with a
+monotone sequence number (no wall clock — chaos replays must produce
+bit-identical logs).
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ label (e.g. a per-request id) degrades that one metric, never the
 process.
 
 :meth:`MetricsRegistry.snapshot` renders everything into plain dicts for
-test assertions and dashboards; :meth:`MetricsRegistry.dump` /
-:meth:`MetricsRegistry.merge` round-trip the raw series so child-process
-registries (forked experiment workers) can be folded into the parent's.
+test assertions and dashboards.
 """
 
 from __future__ import annotations
@@ -260,7 +258,7 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: object) -> Histogram:
         return self._get("histogram", name, labels)
 
-    # -- snapshot / reset / merge -------------------------------------------------
+    # -- snapshot / reset ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-dict view: ``{"counters": {key: value}, "gauges": {...},
@@ -286,52 +284,6 @@ class MetricsRegistry:
         with self._lock:
             self._series.clear()
             self.overflowed_label_sets = 0
-
-    def dump(self) -> List[Tuple[str, str, LabelKey, object]]:
-        """Raw mergeable form: ``[(kind, name, label_key, payload)]`` where
-        the payload is a float (counter/gauge) or the histogram's
-        ``(samples, count, sum, min, max)`` tuple.  Picklable — the
-        experiment engine ships worker dumps back through pool queues."""
-        out: List[Tuple[str, str, LabelKey, object]] = []
-        with self._lock:
-            items = [(name, kind, dict(series))
-                     for name, (kind, series) in self._series.items()]
-        for name, kind, series in items:
-            for key, instrument in series.items():
-                if kind == "histogram":
-                    with instrument._lock:
-                        payload = (list(instrument._samples), instrument._count,
-                                   instrument._sum, instrument._min, instrument._max)
-                else:
-                    payload = instrument.value
-                out.append((kind, name, key, payload))
-        return out
-
-    def merge(self, dumped: List[Tuple[str, str, LabelKey, object]]) -> None:
-        """Fold a :meth:`dump` into this registry.
-
-        Counters and histogram aggregates add; gauges take the incoming
-        value (last writer wins — workers report levels, not deltas).
-        """
-        for kind, name, key, payload in dumped:
-            labels = dict(key)
-            if kind == "counter":
-                self.counter(name, **labels).inc(float(payload))
-            elif kind == "gauge":
-                self.gauge(name, **labels).set(float(payload))
-            else:
-                hist = self.histogram(name, **labels)
-                samples, count, total, vmin, vmax = payload
-                with hist._lock:
-                    room = hist.max_samples - len(hist._samples)
-                    hist._samples.extend(samples[:room])
-                    if len(samples) > room:
-                        hist._truncated = True
-                    hist._count += count
-                    hist._sum += total
-                    if count:
-                        hist._min = min(hist._min, vmin)
-                        hist._max = max(hist._max, vmax)
 
     # -- rendering ----------------------------------------------------------------
 

@@ -10,8 +10,9 @@ burden (see ``docs/testing.md``):
   purity) that runs inline in any session via ``TuningSession(verify=...)``.
 * :mod:`repro.verify.diff` — differential oracles driving one seeded
   workload through both sides of each redundant path pair (scalar/batch,
-  serial/parallel, refit/incremental, live/replay, lockstep/sequential,
-  retrieval-index/brute-force) and reporting the first divergent step.
+  refit/incremental, live/replay, lockstep/sequential,
+  retrieval-index/brute-force, armed/unarmed detector, sharded/single,
+  pruned/frozen full space) and reporting the first divergent step.
 * :mod:`repro.verify.properties` — Hypothesis strategies for spaces, plans,
   fault plans, and noise models.  **Not** imported here: hypothesis is a
   test-extra dependency, and ``import repro.verify`` must stay

@@ -1,14 +1,12 @@
 """Differential oracles: one seeded workload, two redundant paths, diffed.
 
-The repo maintains nine pairs of execution paths that must agree:
+The repo maintains eight pairs of execution paths that must agree:
 
 ==========================  ==============================================  =========
 pair                        contract                                        compare
 ==========================  ==============================================  =========
 scalar vs. batch            ``SparkSimulator.run`` × N element-wise equals  bitwise
                             one ``run_batch`` (noise stream included)
-serial vs. parallel         ``run_replicated_parallel`` is worker-count     bitwise
-                            invariant (derived seeds, forked workers)
 refit vs. incremental       ``GaussianProcessRegressor.update`` tracks a    atol
                             frozen-hyper full ``fit`` (rank-1 Cholesky
                             vs. O(n³) factorization — numerically equal,
@@ -52,16 +50,15 @@ Each driver runs both paths from the same seed, flattens them into *trails*
 naming the first divergent step/field.  Where telemetry counters are part of
 the contract the driver captures both sides' counter maps and diffs those
 too, excluding namespaces that legitimately differ between modes (e.g.
-``parallel.*`` counters carry a ``mode`` label).
+``sparksim.*`` batch-path cache counters).
 
-``run_all`` sweeps all nine drivers — the one command every future PR can
-run to show "the paths still agree".
+``run_all`` sweeps all eight drivers — the one command any change can run
+to show "the paths still agree".
 """
 
 from __future__ import annotations
 
 import tempfile
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -75,7 +72,6 @@ from ..core.observation import Observation
 from ..core.switch import SafeExplorationGate, TaskSwitchDetector
 from ..experiments.fig15_internal_customers import workload_specs
 from ..experiments.lockstep import LockstepSessions, SessionSpec, run_sequential
-from ..experiments.parallel import run_replicated_parallel
 from ..faults.injectors import FaultySimulator
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..ml.gp import GaussianProcessRegressor
@@ -86,7 +82,6 @@ from ..sparksim.configs import query_level_space
 from ..sparksim.executor import SparkSimulator
 from ..sparksim.noise import low_noise
 from ..workloads.customer import generate_population
-from ..workloads.synthetic import default_synthetic_objective
 from ..workloads.tpch import tpch_plan
 
 __all__ = [
@@ -98,7 +93,6 @@ __all__ = [
     "diff_refit_incremental",
     "diff_retrieval_bruteforce",
     "diff_scalar_batch",
-    "diff_serial_parallel",
     "diff_sharded_single",
     "diff_switch_inert",
     "diff_trails",
@@ -287,55 +281,7 @@ def diff_scalar_batch(
     )
 
 
-# -- driver 2: serial vs. parallel --------------------------------------------------
-
-
-def diff_serial_parallel(
-    seed: int = 0,
-    n_runs: int = 8,
-    n_iterations: int = 12,
-    n_workers: int = 2,
-) -> DiffReport:
-    """``run_replicated_parallel`` with 1 worker vs. ``n_workers`` — bitwise.
-
-    Each replicate derives its RNG from ``seed*10007 + i`` and owns a fresh
-    optimizer, so the runs matrix must be identical regardless of worker
-    count.  Counter trails are compared minus ``parallel.*`` (those carry a
-    ``mode`` label by design).  If the pool degrades to serial (e.g. no
-    ``fork``), the comparison still holds — that fallback path is exactly
-    what the bit-equality contract promises.
-    """
-    objective = default_synthetic_objective(seed=11)
-
-    def factory(i: int) -> CentroidLearning:
-        return CentroidLearning(objective.space, window_size=6, seed=1000 + i)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with telemetry.capture() as cap_serial:
-            serial_runs, _ = run_replicated_parallel(
-                factory, objective, n_iterations, n_runs, seed=seed, n_workers=1
-            )
-        with telemetry.capture() as cap_parallel:
-            parallel_runs, _ = run_replicated_parallel(
-                factory, objective, n_iterations, n_runs, seed=seed,
-                n_workers=n_workers,
-            )
-
-    def trail(runs: np.ndarray):
-        return [{"true_values": runs[i]} for i in range(runs.shape[0])]
-
-    return diff_trails(
-        "serial_vs_parallel",
-        trail(serial_runs),
-        trail(parallel_runs),
-        counters_a=cap_serial.counters(),
-        counters_b=cap_parallel.counters(),
-        ignore_counter_prefixes=("parallel.",),
-    )
-
-
-# -- driver 3: full refit vs. incremental update ------------------------------------
+# -- driver 2: full refit vs. incremental update ------------------------------------
 
 
 def diff_refit_incremental(
@@ -382,7 +328,7 @@ def diff_refit_incremental(
     )
 
 
-# -- driver 4: live session vs. JSONL-trace replay ----------------------------------
+# -- driver 3: live session vs. JSONL-trace replay ----------------------------------
 
 
 def diff_live_replay(
@@ -475,7 +421,7 @@ def diff_live_replay(
     return diff_trails("live_vs_replay", live_trail, replay_trail)
 
 
-# -- driver 5: lock-step fleet vs. sequential sessions ------------------------------
+# -- driver 4: lock-step fleet vs. sequential sessions ------------------------------
 
 
 def diff_lockstep_sequential(
@@ -635,7 +581,7 @@ def diff_lockstep_sequential(
     )
 
 
-# -- driver 7: switch detector inert on drift-free streams --------------------------
+# -- driver 6: switch detector inert on drift-free streams --------------------------
 
 
 def diff_switch_inert(
@@ -722,7 +668,7 @@ def diff_switch_inert(
     )
 
 
-# -- driver 6: ANN index vs. brute force --------------------------------------------
+# -- driver 5: ANN index vs. brute force --------------------------------------------
 
 
 def diff_retrieval_bruteforce(
@@ -814,7 +760,7 @@ def diff_retrieval_bruteforce(
     return merged
 
 
-# -- driver 8: sharded service vs. single backend -----------------------------------
+# -- driver 7: sharded service vs. single backend -----------------------------------
 
 
 def diff_sharded_single(
@@ -823,7 +769,7 @@ def diff_sharded_single(
     n_iterations: int = 8,
     n_shards: int = 4,
     events: bool = True,
-    mutate_sharded=None,
+    service_factory=None,
 ) -> DiffReport:
     """One fleet, two deployments: sharded batched service vs. single scalar.
 
@@ -841,11 +787,10 @@ def diff_sharded_single(
     Each trail step carries a ``session`` field, so a divergence names the
     offending tenant session and observation index directly.
 
-    ``mutate_sharded`` (``(service) -> None``) perturbs the sharded arm
-    before the fleet runs — the sensitivity suite passes
-    ``lambda svc: svc.plant_misroute(...)`` to prove a hash-ring misroute
-    (a session landing on the wrong shard without state handoff) is caught
-    and pinned to the first divergent session/step.
+    ``service_factory`` swaps the sharded arm's service class (the
+    sensitivity suite passes a subclass with a planted hash-ring misroute —
+    a session landing on the wrong shard without state handoff — to prove
+    it is caught and pinned to the first divergent session/step).
     """
     from ..service.backend import AutotuneBackend
     from ..service.auth import SasTokenIssuer
@@ -864,9 +809,9 @@ def diff_sharded_single(
             )
         return build
 
-    def run_arm(root, arm_shards, coalesce, mutate=None):
+    def run_arm(root, arm_shards, coalesce, factory=ShardedAutotuneService):
         fleet = build_fleet(n_workloads, seed=seed)
-        service = ShardedAutotuneService(
+        service = factory(
             arm_shards,
             default_optimizer_factory(fleet, base_seed=seed),
             coalesce=coalesce,
@@ -874,8 +819,6 @@ def diff_sharded_single(
             user_id_fn=fleet_user_map(fleet),
             queue_capacity=max(4096, 4 * len(fleet)),
         )
-        if mutate is not None:
-            mutate(service)
         with telemetry.capture() as cap:
             run_fleet(service, fleet, n_iterations, events=events)
         return service, cap
@@ -906,7 +849,8 @@ def diff_sharded_single(
     with tempfile.TemporaryDirectory() as root_sharded, \
             tempfile.TemporaryDirectory() as root_single:
         sharded, cap_sharded = run_arm(
-            root_sharded, n_shards, coalesce=True, mutate=mutate_sharded
+            root_sharded, n_shards, coalesce=True,
+            factory=service_factory or ShardedAutotuneService,
         )
         single, cap_single = run_arm(root_single, 1, coalesce=False)
         return diff_trails(
@@ -919,7 +863,7 @@ def diff_sharded_single(
         )
 
 
-# -- driver 9: pruned subspace vs. frozen full space --------------------------------
+# -- driver 8: pruned subspace vs. frozen full space --------------------------------
 
 
 class _FrozenFullSpace(ConfigSpace):
@@ -1048,7 +992,6 @@ def run_all(seed: int = 0) -> Dict[str, DiffReport]:
     """Run every differential driver; keys are the report names."""
     reports: List[DiffReport] = [
         diff_scalar_batch(seed=seed),
-        diff_serial_parallel(seed=seed),
         diff_refit_incremental(seed=seed),
         diff_live_replay(seed=seed),
         diff_lockstep_sequential(seed=seed),

@@ -1,11 +1,11 @@
 """Shared fixtures for the test suite.
 
-Opt-in suites (``chaos``, ``verify``) are deselected from default runs to
-keep tier-1 fast; run them with ``pytest -m chaos`` / ``pytest -m verify``
-(or ``make chaos`` / ``make verify``).  The ``telemetry`` marker is
-deliberately *not* deselected: telemetry tests run in tier-1, the marker
-only exists to focus them (``pytest -m telemetry``) — the full tier map is
-in ``docs/testing.md``.
+Opt-in suites (``verify``, ``stages``) are deselected from default runs to
+keep tier-1 fast; run them with ``pytest -m verify`` / ``pytest -m stages``
+(or ``make verify`` / ``make stages``).  The ``chaos``, ``drift`` and
+``telemetry`` markers are deliberately *not* deselected: their tests run in
+tier-1, the markers only exist to focus them (``pytest -m chaos``) — the
+full tier map is in ``docs/testing.md``.
 """
 
 import re
@@ -16,8 +16,8 @@ import pytest
 # Markers whose tests are opt-in: skipped unless the marker appears (as a
 # whole word) in the -m expression, so both `-m verify` and `-m "not
 # verify"` address the suite explicitly while unrelated markers that merely
-# contain the word (e.g. a hypothetical `chaos_storm`) do not.
-_OPT_IN_MARKERS = ("chaos", "verify", "drift", "stages")
+# contain the word (e.g. a hypothetical `verify_slow`) do not.
+_OPT_IN_MARKERS = ("verify", "stages")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -5,12 +5,14 @@ suite (``repro.verify.diff.diff_lockstep_sequential``,
 ``tests/verify/test_properties.py``); this module keeps a fast tier-1
 pin on the core contract — bit-identity to the sequential loop on a small
 mixed population — plus the compatibility-validation and state-sync
-behavior.
+behavior, and ``run_replicated`` against a plain ``run_single`` loop on
+both of its paths.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.centroid import CentroidLearning, default_window_model_factory
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.find_best import FindBestMode
@@ -33,6 +35,7 @@ from repro.ml.acquisition import (
 )
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
+from repro.optimizers.flow2 import FLOW2
 from repro.optimizers.random_search import RandomSearch
 from repro.sparksim.configs import query_level_space
 from repro.sparksim.executor import SparkSimulator
@@ -270,6 +273,31 @@ class TestLockstepReplicatedRuns:
                 )
                 assert np.array_equal(matrix[i], expected)
 
+    def test_rejects_without_touching_state(self, objective):
+        optimizers = [
+            CentroidLearning(objective.space, seed=0),
+            CentroidLearning(objective.space, window_size=7, seed=1),
+        ]
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        states = [o._rng.bit_generator.state for o in optimizers]
+        noise_states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(LockstepCompatibilityError, match="window_size"):
+            LockstepReplicatedRuns(
+                optimizers, objective,
+                [LinearGrowth(initial=objective.reference_size, slope=0.0)] * 2,
+                rngs,
+            )
+        # run_replicated reuses a rejected population for its plain loop.
+        assert [o._rng.bit_generator.state for o in optimizers] == states
+        assert [rng.bit_generator.state for rng in rngs] == noise_states
+        assert all(len(o.observations) == 0 for o in optimizers)
+        with pytest.raises(LockstepCompatibilityError, match="CentroidLearning"):
+            LockstepReplicatedRuns(
+                [RandomSearch(objective.space, seed=0)], objective,
+                [LinearGrowth(initial=objective.reference_size, slope=0.0)],
+                [np.random.default_rng(0)],
+            )
+
     def test_rejects_unknown_track(self, objective):
         engine = LockstepReplicatedRuns(
             [CentroidLearning(objective.space, seed=0)],
@@ -282,48 +310,92 @@ class TestLockstepReplicatedRuns:
             engine.runs("median")
 
 
-class TestRunReplicatedEngineParam:
+def reference_runs(factory, objective, n_iterations, n_runs,
+                   size_process_factory=None, seed=0, track="true"):
+    """``run_replicated``'s contract as a plain loop: run ``i`` owns
+    ``factory(i)``, ``size_process_factory(i)`` and a noise RNG seeded
+    ``seed*10007 + i``."""
+    return np.stack([
+        run_single(
+            factory(i), objective, n_iterations,
+            size_process=size_process_factory(i) if size_process_factory else None,
+            rng=np.random.default_rng(seed * 10007 + i),
+            track=track,
+        )
+        for i in range(n_runs)
+    ])
+
+
+# run index -> optimizer.  Lock-step runs the Centroid Learning population;
+# it rejects the other two, which run_replicated then loops over in-process.
+POPULATIONS = {
+    "centroid_learning": lambda space, i: CentroidLearning(space, seed=10 + i),
+    "random_search": lambda space, i: RandomSearch(space, seed=10 + i),
+    # Adaptive, so each run's noise RNG shapes its trajectory.
+    "flow2": lambda space, i: FLOW2(space, seed=10 + i),
+}
+LOCKSTEP_POPULATIONS = {"centroid_learning"}
+
+
+class TestRunReplicated:
     @pytest.fixture
     def objective(self):
-        return default_synthetic_objective(seed=2)
+        return default_synthetic_objective(seed=2)  # noisy: the RNGs matter
 
-    def test_lockstep_matches_process_bitwise(self, objective):
-        kwargs = dict(
-            objective=objective, n_iterations=6, n_runs=4, seed=5, track="gap",
+    @staticmethod
+    def drifting(objective):
+        return lambda i: LinearGrowth(
+            initial=objective.reference_size, slope=25.0 * (i + 1)
         )
-        factory = lambda i: CentroidLearning(objective.space, seed=10 + i)
-        a = run_replicated(factory, engine="process", n_workers=1, **kwargs)
-        b = run_replicated(factory, engine="lockstep", **kwargs)
-        assert np.array_equal(a.runs, b.runs)
 
-    def test_auto_falls_back_for_incompatible_populations(self, objective):
-        bands = run_replicated(
-            lambda i: RandomSearch(objective.space, seed=i),
-            objective, 4, 3, seed=1, engine="auto", n_workers=1,
-        )
-        assert bands.runs.shape == (3, 4)
-
-    def test_lockstep_engine_is_strict(self, objective):
-        with pytest.raises(LockstepCompatibilityError):
-            run_replicated(
-                lambda i: RandomSearch(objective.space, seed=i),
-                objective, 4, 3, seed=1, engine="lockstep",
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("population", sorted(POPULATIONS))
+    def test_matches_reference_loop(self, objective, population, seed):
+        factory = lambda i: POPULATIONS[population](objective.space, i)
+        for track in ("true", "normed", "gap"):
+            kwargs = dict(
+                size_process_factory=self.drifting(objective), seed=seed,
+                track=track,
             )
+            with telemetry.capture() as cap:
+                bands = run_replicated(factory, objective, N_ITERATIONS, 4, **kwargs)
+            expected = reference_runs(factory, objective, N_ITERATIONS, 4, **kwargs)
+            assert np.array_equal(bands.runs, expected)
+            if population not in LOCKSTEP_POPULATIONS:
+                # The in-process loop counts and times every run.
+                assert cap.counters()["experiments.runs"] == 4
+                timings = cap.registry.snapshot()["histograms"]
+                assert timings["experiments.run_seconds"]["count"] == 4
 
-    def test_rejects_unknown_engine(self, objective):
-        with pytest.raises(ValueError, match="engine"):
-            run_replicated(
-                lambda i: CentroidLearning(objective.space, seed=i),
-                objective, 4, 3, engine="threads",
-            )
+    @pytest.mark.parametrize("population", sorted(POPULATIONS))
+    def test_collect_in_run_order(self, objective, population):
+        built = []
 
-    def test_collect_hook_returns_per_run_payloads(self, objective):
+        def factory(i):
+            built.append(POPULATIONS[population](objective.space, i))
+            return built[-1]
+
         bands, payloads = run_replicated(
-            lambda i: CentroidLearning(objective.space, seed=i),
-            objective, 5, 3, seed=2, engine="lockstep",
-            collect=lambda opt: opt.centroid.copy(),
+            factory, objective, 5, 3, seed=2,
+            collect=lambda opt: (id(opt), len(opt.observations)),
         )
         assert bands.runs.shape == (3, 5)
-        assert len(payloads) == 3
-        for payload in payloads:
-            assert payload.shape == (objective.space.dim,)
+        assert payloads == [(id(opt), 5) for opt in built]
+
+    @pytest.mark.parametrize("population", sorted(POPULATIONS))
+    def test_factories_called_once(self, objective, population):
+        optimizer_calls, size_calls = [], []
+        drifting = self.drifting(objective)
+
+        def factory(i):
+            optimizer_calls.append(i)
+            return POPULATIONS[population](objective.space, i)
+
+        def size_process_factory(i):
+            size_calls.append(i)
+            return drifting(i)
+
+        run_replicated(factory, objective, 3, 4,
+                       size_process_factory=size_process_factory)
+        assert optimizer_calls == [0, 1, 2, 3]
+        assert size_calls == [0, 1, 2, 3]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.centroid import CentroidLearning
 from repro.experiments.runner import (
     ConvergenceBands,
     ExperimentResult,
@@ -40,6 +41,23 @@ class TestConvergenceBands:
     def test_single_run_accepted(self):
         bands = ConvergenceBands(np.arange(5.0))
         assert bands.n_runs == 1
+
+    def test_caches_percentiles(self):
+        runs = np.random.default_rng(0).normal(size=(20, 30))
+        bands = ConvergenceBands(runs)
+        median = bands.median
+        assert bands.median is median  # same frozen array, not a recomputation
+        assert not median.flags.writeable
+        assert not bands.runs.flags.writeable
+        np.testing.assert_allclose(median, np.percentile(runs, 50.0, axis=0))
+        np.testing.assert_allclose(bands.p5, np.percentile(runs, 5.0, axis=0))
+        np.testing.assert_allclose(bands.p95, np.percentile(runs, 95.0, axis=0))
+
+    def test_copy_is_isolated(self):
+        source = np.ones((3, 4))
+        bands = ConvergenceBands(source)
+        source[:] = 99.0  # mutating the caller's array must not leak in
+        np.testing.assert_array_equal(bands.runs, np.ones((3, 4)))
 
 
 class TestRunSingle:
@@ -94,6 +112,17 @@ class TestRunReplicated:
     def test_validation(self, objective):
         with pytest.raises(ValueError):
             run_replicated(lambda i: RandomSearch(objective.space), objective, 0, 1)
+
+    @pytest.mark.parametrize(
+        "make", [RandomSearch, CentroidLearning],
+        ids=["random_search", "centroid_learning"],
+    )
+    def test_rejects_empty(self, objective, make):
+        factory = lambda i: make(objective.space, seed=i)
+        with pytest.raises(ValueError, match=">= 1"):
+            run_replicated(factory, objective, 0, 1)
+        with pytest.raises(ValueError, match=">= 1"):
+            run_replicated(factory, objective, 1, 0)
 
 
 def test_experiment_result_scalar_access():

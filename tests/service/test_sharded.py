@@ -124,6 +124,35 @@ def fresh_service(n_shards=3, **kwargs):
     return ShardedAutotuneService(n_shards, optimizer_factory, **kwargs)
 
 
+class MisroutingService(ShardedAutotuneService):
+    """A sharded service with a planted ring bug, for sensitivity tests.
+
+    From its ``after``-th submit on, ``victim`` routes to a shard that does
+    not own it, *without* a state handoff: the receiving shard spins up a
+    fresh session, which is the divergence ``diff_sharded_single`` must
+    catch.
+    """
+
+    def __init__(self, *args, victim: str, after: int = 0, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.victim = victim
+        self.after = after
+        self.victim_submits = 0
+        owner = self.ring.owner(victim)
+        self.wrong_shard = next(s for s in self.shard_ids if s != owner)
+
+    def route(self, workload_id: str) -> str:
+        if workload_id == self.victim and self.victim_submits >= self.after:
+            return self.wrong_shard
+        return super().route(workload_id)
+
+    def submit(self, request):
+        verdict = super().submit(request)
+        if request.workload_id == self.victim:
+            self.victim_submits += 1
+        return verdict
+
+
 def observation_for(vector, iteration):
     vector = np.asarray(vector, dtype=float)
     return Observation(
@@ -403,18 +432,16 @@ class TestRebalance:
 
 class TestMisroute:
     def test_misroute_violates_stickiness(self):
-        service = fresh_service(n_shards=3)
         victim = WORKLOADS[0]
+        service = MisroutingService(
+            3, optimizer_factory, queue_capacity=256, victim=victim, after=1
+        )
+        requests = [TuneRequest.suggest(victim, f"{victim}/q{i}") for i in range(2)]
+        for request in requests:
+            service.submit(request)
         owner = service.ring.owner(victim)
-        wrong = next(s for s in service.shard_ids if s != owner)
-        service.plant_misroute(victim, wrong, after=0)
-        request = TuneRequest.suggest(victim, f"{victim}/q0")
-        service.submit(request)
-        assert request.shard_id == wrong
-
-    def test_misroute_to_unknown_shard_rejected(self):
-        with pytest.raises(KeyError):
-            fresh_service().plant_misroute("w", "shard-99")
+        assert [r.shard_id for r in requests] == [owner, service.wrong_shard]
+        assert service.wrong_shard != owner
 
 
 class TestMetrics:

@@ -1,7 +1,6 @@
 """Metrics-registry semantics: counters, gauges, histograms, labels,
-cardinality caps, snapshot/reset, dump/merge, and thread safety."""
+cardinality caps, snapshot/reset, and thread safety."""
 
-import pickle
 import threading
 
 import pytest
@@ -136,23 +135,6 @@ class TestRegistry:
         assert len(real) == 4
         assert snap["hot{overflow=true}"] == 6.0
         assert registry.overflowed_label_sets > 0
-
-    def test_dump_merge_roundtrip(self, registry):
-        registry.counter("a", op="x").inc(3)
-        registry.gauge("b").set(7.0)
-        registry.histogram("c").observe(1.0)
-        registry.histogram("c").observe(5.0)
-        dumped = pickle.loads(pickle.dumps(registry.dump()))
-
-        other = MetricsRegistry()
-        other.counter("a", op="x").inc(1)
-        other.histogram("c").observe(3.0)
-        other.merge(dumped)
-        snap = other.snapshot()
-        assert snap["counters"]["a{op=x}"] == 4.0
-        assert snap["gauges"]["b"] == 7.0
-        assert snap["histograms"]["c"]["count"] == 3
-        assert snap["histograms"]["c"]["sum"] == 9.0
 
     def test_render_text_mentions_all_series(self, registry):
         registry.counter("a").inc()

@@ -16,7 +16,6 @@ from repro.verify.diff import (
     diff_refit_incremental,
     diff_retrieval_bruteforce,
     diff_scalar_batch,
-    diff_serial_parallel,
 )
 
 pytestmark = pytest.mark.verify
@@ -26,7 +25,7 @@ class TestAllPathsAgree:
     def test_run_all_is_equivalent(self):
         reports = run_all(seed=0)
         assert set(reports) == {
-            "scalar_vs_batch", "serial_vs_parallel",
+            "scalar_vs_batch",
             "refit_vs_incremental", "live_vs_replay",
             "lockstep_vs_sequential", "retrieval_vs_bruteforce",
             "switch_inert", "sharded_vs_single", "pruned_vs_full",
@@ -39,10 +38,6 @@ class TestAllPathsAgree:
         report = diff_scalar_batch(n_configs=16, seed=seed)
         assert report.equivalent, report.summary()
         assert report.tolerance == 0.0
-
-    def test_serial_parallel_bitwise(self):
-        report = diff_serial_parallel(seed=1, n_runs=4, n_iterations=8)
-        assert report.equivalent, report.summary()
 
     def test_refit_incremental_within_atol(self):
         report = diff_refit_incremental(seed=1, n_points=24, n_init=6)

@@ -10,19 +10,14 @@ misrouted tenant silently grows a second session on the wrong shard, and
 the oracle must report the divergence.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.verify.diff import diff_sharded_single
+from tests.service.test_sharded import MisroutingService
 
 pytestmark = pytest.mark.verify
-
-
-def plant_misroute(service):
-    """Reroute one workload to a non-owner shard without state handoff."""
-    victim = "artifact-0000"
-    owner = service.ring.owner(victim)
-    wrong = next(s for s in service.shard_ids if s != owner)
-    service.plant_misroute(victim, wrong, after=5)
 
 
 class TestShardedOracle:
@@ -45,12 +40,17 @@ class TestShardedOracle:
         assert report.equivalent, report.summary()
 
     def test_planted_misroute_is_caught(self):
-        report = diff_sharded_single(seed=0, mutate_sharded=plant_misroute)
+        report = diff_sharded_single(
+            seed=0,
+            service_factory=partial(
+                MisroutingService, victim="artifact-0000", after=5
+            ),
+        )
         assert not report.equivalent
-        # The misrouted tenant forked a fresh session on the wrong shard:
-        # the oracle reports either the extra session (length mismatch) or
-        # the first divergent field.
-        summary = report.summary()
-        assert "sharded_vs_single" in summary
-        if report.divergence is not None:
-            assert report.divergence.field
+        assert "sharded_vs_single" in report.summary()
+        # The victim's sessions now live on two shards, and the sharded trail
+        # keeps one copy whose first session holds a single observation: its
+        # summary row at step 1 meets the reference's second observation.
+        assert report.divergence.step == 1
+        assert report.divergence.field == "centroid"
+        assert report.length_mismatch == (158, 189)

@@ -22,9 +22,8 @@ guards the verification layer and the lock-step engine specifically.  All
 other arguments pass through to pytest.
 
 The tracer is installed for the main thread and (via ``threading.settrace``)
-any threads pytest spawns; forked worker *processes* (the parallel
-experiment engine's process pools) are intentionally not traced — the table
-measures what the test process itself executes.
+any threads pytest spawns — the table measures what the test process itself
+executes.
 
 Exit status is pytest's exit status, so the target can gate CI.
 """
