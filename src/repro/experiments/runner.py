@@ -203,6 +203,8 @@ def run_replicated(
         runs = np.stack(rows)
     else:
         lockstep.advance(n_iterations)
+        # A lock-step run has no wall time of its own: count it, time none.
+        telemetry.counter("experiments.runs").inc(n_runs)
         runs = lockstep.runs(track)
     bands = ConvergenceBands(runs)
     if collect is not None:

@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .cluster import ExecutorLayout, Pool, default_pool
-from .plan import OpType, PhysicalPlan
+from .plan import OpType, PhysicalPlan, check_scale
 
 __all__ = [
     "ConfigColumns",
@@ -89,8 +89,7 @@ class PlanArrays:
     @classmethod
     def build(cls, plan: PhysicalPlan, data_scale: float = 1.0) -> "PlanArrays":
         """Precompile ``plan`` at ``data_scale`` (no caching; see :func:`plan_arrays`)."""
-        if data_scale <= 0:
-            raise ValueError("data_scale must be > 0")
+        check_scale(data_scale, "data_scale")
         ops = plan.operators
         n = len(ops)
         rows_in = np.empty(n)

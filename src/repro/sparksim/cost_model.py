@@ -36,7 +36,7 @@ from .. import telemetry
 from .batch import ConfigColumns, LayoutArrays, plan_arrays, resolve_layouts
 from .cluster import ExecutorLayout, GIB, Pool
 from .overlay import StageConfigOverlay, StageOverride
-from .plan import Operator, OpType, PhysicalPlan
+from .plan import Operator, OpType, PhysicalPlan, check_scale
 
 __all__ = ["CostParameters", "CostBreakdown", "BatchCostBreakdown", "CostModel"]
 
@@ -382,8 +382,10 @@ class CostModel:
                 raise ValueError(
                     f"data_scales must have shape ({cols.n},), got {data_scales.shape}"
                 )
-            if np.any(data_scales <= 0):
-                raise ValueError("data_scales must be > 0")
+            if cols.n:
+                # NaN propagates through min/max, so the extremes carry any bad value.
+                check_scale(float(data_scales.min()), "data_scales")
+                check_scale(float(data_scales.max()), "data_scales")
             if data_scale != 1.0:
                 raise ValueError("pass data_scale or data_scales, not both")
             if breakdown:

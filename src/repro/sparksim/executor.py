@@ -8,7 +8,6 @@ cluster's listener would.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -60,11 +59,6 @@ class SparkSimulator:
         self.cost_model = CostModel(cost_params)
         self._rng = np.random.default_rng(seed)
         self.run_count = 0
-        # plan -> {data_scale: scaled copy}; weak keys so retired plans and
-        # their scaled copies are collectable.
-        self._scaled_cache: "weakref.WeakKeyDictionary[PhysicalPlan, Dict[float, PhysicalPlan]]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     def true_time(
         self, plan: PhysicalPlan, config: Mapping[str, float],
@@ -94,16 +88,9 @@ class SparkSimulator:
         ``overlay`` applies stage-scoped knob overrides to every row (see
         ``repro.sparksim.overlay``).
         """
-        if data_scales is not None:
-            if data_scale != 1.0:
-                raise ValueError("pass data_scale or data_scales, not both")
-            return self.cost_model.estimate_batch(
-                plan, configs, space=space, pool=self.pool,
-                data_scales=data_scales, overlay=overlay,
-            )
-        scaled = self._scaled_plan(plan, data_scale)
         return self.cost_model.estimate_batch(
-            scaled, configs, space=space, pool=self.pool, overlay=overlay
+            plan, configs, space=space, pool=self.pool, data_scale=data_scale,
+            data_scales=data_scales, overlay=overlay,
         )
 
     def observe_true(self, true_seconds: float) -> float:
@@ -122,25 +109,13 @@ class SparkSimulator:
         self.run_count += 1
         return observed
 
-    def _scaled_plan(self, plan: PhysicalPlan, data_scale: float) -> PhysicalPlan:
-        """Memoized ``plan.scaled(data_scale)`` (identity-keyed, weak refs)."""
-        if data_scale == 1.0:
-            return plan
-        per_scale = self._scaled_cache.get(plan)
-        if per_scale is None:
-            per_scale = {}
-            self._scaled_cache[plan] = per_scale
-        scaled = per_scale.get(data_scale)
-        if scaled is None:
-            scaled = plan.scaled(data_scale)
-            per_scale[data_scale] = scaled
-        return scaled
-
     def _estimate(
         self, plan: PhysicalPlan, config: Mapping[str, float], data_scale: float,
         overlay=None,
     ) -> CostBreakdown:
-        scaled = self._scaled_plan(plan, data_scale)
+        # A scaled copy shares the plan's topology and rebuilds only its
+        # operators, so it is built per run rather than kept.
+        scaled = plan.scaled(data_scale) if data_scale != 1.0 else plan
         layout = ExecutorLayout.from_config(config, self.pool)
         return self.cost_model.estimate(scaled, config, layout, overlay)
 
@@ -186,9 +161,9 @@ class SparkSimulator:
         tests pin this).  ``run_count`` advances by N.
         """
         cols = ConfigColumns.coerce(configs, space)
-        scaled = self._scaled_plan(plan, data_scale)
         batch = self.cost_model.estimate_batch(
-            scaled, cols, pool=self.pool, overlay=overlay, breakdown=True
+            plan, cols, pool=self.pool, data_scale=data_scale, overlay=overlay,
+            breakdown=True,
         )
         data_size = max(plan.total_leaf_cardinality * data_scale, 1.0)
         signature = plan.signature()

@@ -9,14 +9,16 @@ execution plan)".
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import networkx as nx
 
-__all__ = ["OpType", "Operator", "PhysicalPlan", "OP_TYPES"]
+__all__ = ["OpType", "Operator", "PhysicalPlan", "OP_TYPES", "check_scale"]
 
 
 class OpType:
@@ -87,7 +89,11 @@ class Operator:
 
 
 class PhysicalPlan:
-    """A single-rooted operator DAG."""
+    """A single-rooted operator DAG.
+
+    The topology (graph, root, leaves, execution order) is validated once,
+    at construction, and frozen; :meth:`scaled` copies share it.
+    """
 
     def __init__(self, operators: Sequence[Operator], name: str = "query"):
         if not operators:
@@ -105,27 +111,28 @@ class PhysicalPlan:
                 if child not in self._ops:
                     raise ValueError(f"operator {op.op_id} references unknown child {child}")
                 graph.add_edge(child, op.op_id)  # data flows child -> parent
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError("plan contains a cycle")
+        try:
+            topo_ids = tuple(nx.topological_sort(graph))
+        except nx.NetworkXUnfeasible:
+            raise ValueError("plan contains a cycle") from None
         roots = [n for n in graph.nodes if graph.out_degree(n) == 0]
         if len(roots) != 1:
             raise ValueError(f"plan must have exactly one root, found {len(roots)}")
-        self._graph = graph
+        # Plans are immutable once constructed.  The frozen graph, root, leaf
+        # ids and execution order are shared by every scaled copy; only the
+        # signature (which hashes per-copy ratios) is computed lazily.
+        self._graph = nx.freeze(graph)
         self._root_id = roots[0]
-        # Plans are immutable once constructed, so the topological order and
-        # signature are computed lazily and cached (both sit on hot paths of
-        # the batch-evaluation pipeline).
-        self._topo_ids: List[int] = []
+        self._topo_ids = topo_ids
+        self._leaf_ids = tuple(n for n in graph.nodes if graph.in_degree(n) == 0)
         self._signature = ""
-        self._leaf_ids: List[int] = [
-            n for n in graph.nodes if graph.in_degree(n) == 0
-        ]
-        self._total_leaf_cardinality = float(
-            sum(self._ops[n].est_rows_in for n in self._leaf_ids)
-        )
-        self._total_input_bytes = float(
-            sum(self._ops[n].bytes_in for n in self._leaf_ids)
-        )
+        self._set_leaf_totals()
+
+    def _set_leaf_totals(self) -> None:
+        """Sum leaf rows and bytes in leaf order (the order every copy shares)."""
+        leaves = [self._ops[n] for n in self._leaf_ids]
+        self._total_leaf_cardinality = float(sum(op.est_rows_in for op in leaves))
+        self._total_input_bytes = float(sum(op.bytes_in for op in leaves))
 
     # -- accessors --------------------------------------------------------------
 
@@ -140,8 +147,6 @@ class PhysicalPlan:
     @property
     def operators(self) -> List[Operator]:
         """Operators in topological (execution) order."""
-        if not self._topo_ids:
-            self._topo_ids = list(nx.topological_sort(self._graph))
         return [self._ops[i] for i in self._topo_ids]
 
     @property
@@ -229,18 +234,29 @@ class PhysicalPlan:
         """Return a copy with all cardinalities multiplied by ``factor``.
 
         Models the same recurrent query running over a grown/shrunk input.
+        Scaling cannot change the topology, so the copy shares this plan's
+        frozen graph, root, leaves and execution order and rebuilds only
+        its operators.
         """
-        if factor <= 0:
-            raise ValueError("scale factor must be > 0")
-        ops = [
-            Operator(
-                op_id=op.op_id,
+        check_scale(factor)
+        twin = copy.copy(self)
+        twin._ops = {
+            op_id: Operator(
+                op_id=op_id,
                 op_type=op.op_type,
                 est_rows_in=op.est_rows_in * factor,
                 est_rows_out=op.est_rows_out * factor,
                 row_bytes=op.row_bytes,
                 children=op.children,
             )
-            for op in self._ops.values()
-        ]
-        return PhysicalPlan(ops, name=self.name)
+            for op_id, op in self._ops.items()
+        }
+        twin._signature = ""
+        twin._set_leaf_totals()
+        return twin
+
+
+def check_scale(scale: float, name: str = "scale factor") -> None:
+    """Raise ``ValueError`` unless ``scale`` is finite and > 0 (NaN fails too)."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {scale}")

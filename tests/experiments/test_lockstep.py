@@ -361,10 +361,12 @@ class TestRunReplicated:
                 bands = run_replicated(factory, objective, N_ITERATIONS, 4, **kwargs)
             expected = reference_runs(factory, objective, N_ITERATIONS, 4, **kwargs)
             assert np.array_equal(bands.runs, expected)
-            if population not in LOCKSTEP_POPULATIONS:
-                # The in-process loop counts and times every run.
-                assert cap.counters()["experiments.runs"] == 4
-                timings = cap.registry.snapshot()["histograms"]
+            # Both paths count every run; only the in-process loop times them.
+            assert cap.counters()["experiments.runs"] == 4
+            timings = cap.registry.snapshot()["histograms"]
+            if population in LOCKSTEP_POPULATIONS:
+                assert "experiments.run_seconds" not in timings
+            else:
                 assert timings["experiments.run_seconds"]["count"] == 4
 
     @pytest.mark.parametrize("population", sorted(POPULATIONS))

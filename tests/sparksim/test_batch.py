@@ -8,6 +8,7 @@ simulator's noise stream in exactly the order N sequential ``run`` calls
 would.
 """
 
+import math
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.faults.injectors import FaultySimulator
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.sparksim.batch import (
     ConfigColumns,
+    PlanArrays,
     clear_plan_arrays_cache,
     plan_arrays,
     plan_arrays_cache_stats,
@@ -249,6 +251,20 @@ class TestBatchStructures:
         counters = cap.registry.snapshot()["counters"]
         assert counters["sparksim.batch_estimates"] == 1
         assert counters["sparksim.batch_configs"] == 5
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_nonpositive_scale_rejected(self, model, scale):
+        plan = tpch_plan(6, 1.0)
+        space = query_level_space()
+        vectors = space.latin_hypercube(3, np.random.default_rng(12))
+        match = f"must be finite and > 0, got {scale}"
+        with pytest.raises(ValueError, match=f"data_scale {match}"):
+            PlanArrays.build(plan, scale)
+        with pytest.raises(ValueError, match=f"data_scale {match}"):
+            model.estimate_batch(plan, vectors, space=space, data_scale=scale)
+        with pytest.raises(ValueError, match=f"data_scales {match}"):
+            model.estimate_batch(plan, vectors, space=space,
+                                 data_scales=np.array([1.0, scale, 2.0]))
 
 
 class TestRunBatchNoiseStream:

@@ -1,9 +1,15 @@
 """Tests for the SparkSimulator."""
 
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.sparksim.cost_model import CostModel
 from repro.sparksim.executor import SparkSimulator
+from repro.sparksim.plan import PhysicalPlan
 from repro.sparksim.noise import high_noise, no_noise
 from repro.workloads.tpch import tpch_plan
 
@@ -64,3 +70,56 @@ class TestSimulator:
         assert event.query_signature == q3_plan.signature()
         assert event.region == "eu"
         assert event.duration_seconds > 0
+
+
+class TestScaledRuns:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_rejected_scale_raises(self, q3_plan, spark_space, scale):
+        sim = SparkSimulator(noise=no_noise(), seed=0)
+        config = spark_space.default_dict()
+        match = f"finite and > 0, got {scale}"
+        with pytest.raises(ValueError, match=match):
+            sim.run(q3_plan, config, data_scale=scale)
+        with pytest.raises(ValueError, match=match):
+            sim.true_time_batch(q3_plan, [config], data_scale=scale)
+        with pytest.raises(ValueError, match=match):
+            sim.run_batch(q3_plan, [config], data_scale=scale)
+        assert sim.run_count == 0
+
+    def test_keeps_no_scaled_copy(self, q3_plan, spark_space, monkeypatch):
+        built = []
+        scaled = PhysicalPlan.scaled
+
+        def recording(plan, factor):
+            copy = scaled(plan, factor)
+            built.append(weakref.ref(copy))
+            return copy
+
+        monkeypatch.setattr(PhysicalPlan, "scaled", recording)
+        sim = SparkSimulator(noise=no_noise(), seed=0)
+        config = spark_space.default_dict()
+        for i in range(1, 1001):
+            sim.run(q3_plan, config, data_scale=1.0 + i / 1000)
+        gc.collect()
+        assert len(built) == 1000
+        assert all(ref() is None for ref in built)
+
+    def test_scaled_results_equal_a_scaled_plan(self, q3_plan, spark_space):
+        space = spark_space
+        configs = [space.to_dict(v)
+                   for v in space.latin_hypercube(4, np.random.default_rng(3))]
+        sim = SparkSimulator(noise=no_noise(), seed=0)
+        model = CostModel()
+        for scale in [0.37, 2.5, 1e3, 0.37, 1.0]:
+            expected = [model.estimate(q3_plan.scaled(scale), c) for c in configs]
+            totals = [e.total_seconds for e in expected]
+            for config, want in zip(configs, expected):
+                result = sim.run(q3_plan, config, data_scale=scale)
+                assert result.true_seconds == want.total_seconds
+                assert result.metrics == want.metrics
+                assert sim.true_time(q3_plan, config, data_scale=scale) == want.total_seconds
+            batch = sim.true_time_batch(q3_plan, configs, data_scale=scale)
+            assert batch.tolist() == totals
+            ran = sim.run_batch(q3_plan, configs, data_scale=scale)
+            assert [r.true_seconds for r in ran] == totals
+            assert [r.metrics for r in ran] == [e.metrics for e in expected]
