@@ -3,15 +3,17 @@
 The lock-step engine (:mod:`repro.experiments.lockstep`) and the sharded
 service's drains (:mod:`repro.service.batch_exec`) both call this kernel;
 the scalar :class:`~repro.core.centroid.CentroidLearning` path stays the
-reference both are checked against.  It holds the shape rule
-(:func:`batch_profile_for`), window-model fits and stacking, candidate
-scoring (:func:`window_means` then :func:`acquisition_scores`; the pick is
-the row-wise ``argmax``), and the Alg.-1 update (:func:`centroid_step`).
+reference both are checked against.  It holds the shape rule both engines
+apply (:func:`batch_profile_for`), window-model fits and stacking,
+candidate scoring (:func:`window_means` then :func:`acquisition_scores`;
+the pick is the row-wise ``argmax``), and the Alg.-1 update
+(:func:`centroid_step`).
 
 Every function is pure array arithmetic — no RNG draws, no telemetry, no
 optimizer state — arranged so that row ``k`` is bitwise equal to the scalar
-path for session ``k``.  Callers own RNG streams, guardrails, detectors,
-gates, counters and spans.
+path for session ``k``.  Callers own RNG streams, guardrails, counters and
+spans.  Sessions with a task-switch detector or a safe-exploration gate are
+out of shape: :mod:`repro.core.switch` is their only implementation.
 """
 
 from __future__ import annotations
@@ -111,9 +113,17 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     ``_MAX_ENUM_DIM`` knobs; an exact-type :class:`SurrogateSelector` with no
     baseline, the optimizer's model factory and an elementwise acquisition;
     an exact ``StandardScaler → PolynomialFeatures →
-    RidgeRegression(fit_intercept=True)`` window model.  Exact types, since
-    a subclass may override what is replayed here.  The reason is a label:
-    ``"optimizer"``, ``"gradient"``, ``"dim"``, ``"selector"`` or ``"model"``.
+    RidgeRegression(fit_intercept=True)`` window model; no switch detector
+    and no safe gate (their re-anchors and candidate masks run only in the
+    scalar classes).  Any guardrail passes: the drains call the session's own
+    ``Guardrail.update``, and lock-step adds its own guardrail rules.  Exact
+    types, since a subclass may override what is replayed here.
+
+    The reason is a label, in the order checked: ``"optimizer"``,
+    ``"gradient"``, ``"dim"``, ``"selector"``, ``"model"``,
+    ``"switch_detector"`` or ``"safe_gate"`` — the ``reason`` of the
+    drains' ``service.batch.fallback_sessions`` counter and of lock-step's
+    refusal.
     """
     if type(optimizer) is not CentroidLearning:
         return "optimizer"
@@ -139,6 +149,10 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     steps = [step for _, step in model.steps] if type(model) is Pipeline else []
     if [type(s) for s in steps] != _WINDOW_MODEL_STEPS or not steps[2].fit_intercept:
         return "model"
+    if optimizer.switch_detector is not None:
+        return "switch_detector"
+    if optimizer.safe_gate is not None:
+        return "safe_gate"
     _, poly, ridge = steps
     low, high, span, deltas = _geometry(space)
     return BatchProfile(

@@ -105,11 +105,6 @@ class TuningSession:
             iteration (counted in :attr:`fallback_count`) instead of
             failing the query.  Off by default — research harnesses want
             the exception.
-        verify: optional inline verification hook, run after every recorded
-            step against live state — either a
-            :class:`repro.verify.InvariantRegistry` (its ``check_session``
-            is called) or any ``(session, record) -> None`` callable that
-            raises on a broken invariant.  See ``docs/testing.md``.
         observe_transform: optional ``(iteration, observed_seconds) ->
             observed_seconds`` hook applied to the simulator's observed time
             before the optimizer sees it and before it is recorded — the
@@ -149,7 +144,6 @@ class TuningSession:
         embedder: Optional[WorkloadEmbedder] = None,
         scale_fn: Optional[Callable[[int], float]] = None,
         fallback_to_default: bool = False,
-        verify: Optional[object] = None,
         observe_transform: Optional[Callable[[int, float], float]] = None,
     ):
         self.plan = plan
@@ -161,18 +155,6 @@ class TuningSession:
         self.fallback_to_default = fallback_to_default
         self.fallback_count = 0
         self.trace = TuningTrace()
-        self.verify = verify
-        if verify is None:
-            self._verify_hook = None
-        elif hasattr(verify, "check_session"):
-            self._verify_hook = verify.check_session
-        elif callable(verify):
-            self._verify_hook = verify
-        else:
-            raise TypeError(
-                "verify must be an InvariantRegistry or a callable "
-                f"(session, record) -> None, got {type(verify).__name__}"
-            )
 
     def default_true_time(self, scale: float = 1.0) -> float:
         """Noiseless time of the space's default configuration."""
@@ -238,9 +220,6 @@ class TuningSession:
             )
             self.trace.append(record)
             telemetry.counter("session.steps").inc()
-            if self._verify_hook is not None:
-                self._verify_hook(self, record)
-                telemetry.counter("session.verify_sweeps").inc()
             if telemetry.enabled():
                 tspan.set_attr("observed_seconds", observed)
                 tspan.set_attr("true_seconds", result.true_seconds)

@@ -41,10 +41,11 @@ selection, so the *expected* per-step regret against the default stays
 bounded while tuning continues.  When no candidate passes, the default
 itself is suggested.
 
-Both are wired through the lock-step engine with per-session vectorized
-state — K-session fleets stay bit-identical to sequential sessions
-(``repro.verify.diff.diff_switch_inert`` and ``diff_lockstep_sequential``
-pin the contract).
+These classes are the only implementation of both: the batched shape rule
+(:func:`repro.core.batched_step.batch_profile_for`) sends detector- and
+gate-armed sessions to the scalar path on every engine, so their trails do
+not depend on where they run.  ``repro.verify.diff.diff_switch_inert``
+pins that an armed detector is inert on drift-free streams.
 """
 
 from __future__ import annotations
@@ -89,23 +90,10 @@ class SwitchDecision:
     reason: str
 
 
-def _record_detection(decision: SwitchDecision) -> None:
-    """Telemetry for one detection — shared by the scalar and lock-step paths."""
-    telemetry.counter("switch.detections", reason=decision.reason).inc()
-    telemetry.emit(
-        "switch.detect",
-        iteration=decision.iteration,
-        reason=decision.reason,
-        statistic=decision.statistic,
-        bound=decision.bound,
-    )
-
-
 class TaskSwitchDetector:
     """Online change-point detector over a session's observation stream.
 
-    Deterministic (no RNG) and cheap (O(1) state per update), so the
-    lock-step engine can mirror it exactly in struct-of-arrays form.
+    Deterministic (no RNG) and cheap (O(1) state per update).
 
     Args:
         warmup: observations after each anchor that freeze the reference
@@ -275,7 +263,14 @@ class TaskSwitchDetector:
         self._anchor_size = data_size
         if embedding is not None:
             self._anchor_embedding = np.array(embedding, dtype=float)
-        _record_detection(decision)
+        telemetry.counter("switch.detections", reason=decision.reason).inc()
+        telemetry.emit(
+            "switch.detect",
+            iteration=decision.iteration,
+            reason=decision.reason,
+            statistic=decision.statistic,
+            bound=decision.bound,
+        )
         return decision
 
     # -- persistence -------------------------------------------------------------
@@ -357,8 +352,7 @@ class SafeExplorationGate:
         """Return the safe subset of ``candidates`` (or the default row).
 
         ``model`` is the window model ``H(c, p)`` — the exact (memoized)
-        fit the selector scores with, so the gate adds no extra fits and
-        the lock-step mirror stays bitwise.
+        fit the selector scores with, so the gate adds no extra fits.
         """
         m = len(candidates)
         rows = np.column_stack([

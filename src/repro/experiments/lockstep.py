@@ -26,17 +26,11 @@ sequentially.  The ingredients:
 * :meth:`SparkSimulator.observe_true` (and its
   :class:`~repro.faults.injectors.FaultySimulator` wrapper), which applies
   exactly the per-run noise/fault tail of ``run()`` to precomputed true
-  times;
-* per-session task-switch state (:class:`_SwitchState`): the
-  :class:`~repro.core.switch.TaskSwitchDetector` CUSUM recursion runs
-  vectorized across sessions, while rare events (warmup freezes,
-  detections, re-anchors, warm-start consults) drop to per-session loops
-  replaying the scalar arithmetic — sessions that fire at different steps
-  keep ragged window/guardrail epochs (``_win_start``/``_gr_start``) that
-  the suggest, guardrail and centroid phases group by length;
-* :class:`~repro.core.switch.SafeExplorationGate` masking applied to the
-  batched candidate scores (``-inf`` at rejected candidates is
-  argmax-equivalent to the scalar gate's subset selection).
+  times.
+
+Nothing re-anchors a session, so every window holds the last
+``min(t, window_size)`` steps and the suggest, guardrail and centroid
+phases each make one stacked call for the whole population.
 
 ``repro.verify.diff.diff_lockstep_sequential`` pins the contract end to
 end on fig15-style populations; Hypothesis properties in
@@ -44,7 +38,9 @@ end on fig15-style populations; Hypothesis properties in
 invariance.
 
 Sessions outside :func:`~repro.core.batched_step.batch_profile_for`'s
-shape, stale or non-uniform populations, and robust guardrails raise
+shape (a task-switch detector or a safe-exploration gate included: those
+run only in the scalar :mod:`repro.core.switch` classes), stale or
+non-uniform populations, and robust guardrails raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
 path rather than silently getting different numbers.  Batched GP
 posteriors for BO/contextual paths are provided by
@@ -72,12 +68,6 @@ from ..core.centroid import CentroidLearning
 from ..core.guardrail import Guardrail, GuardrailDecision
 from ..core.observation import Observation
 from ..core.session import IterationRecord, TuningSession, TuningTrace
-from ..core.switch import (
-    SafeExplorationGate,
-    SwitchDecision,
-    TaskSwitchDetector,
-    _record_detection,
-)
 from ..ml.batched import BatchedRidgePipeline, ols_predict, polynomial_features_batch
 
 __all__ = [
@@ -137,8 +127,6 @@ class _Uniform:
     # acquisition and space geometry are the population's.
     profile: BatchProfile
     guardrail: Optional[Guardrail]  # parameter template (state lives in SoA)
-    detector: Optional[TaskSwitchDetector] = None  # parameter template
-    gate: Optional[SafeExplorationGate] = None
 
 
 @dataclass
@@ -149,28 +137,7 @@ class _GuardrailState:
     disabled: np.ndarray
     since_disable: np.ndarray
     reenable_count: np.ndarray
-    reset_count: np.ndarray
     decisions: List[List[GuardrailDecision]] = field(default_factory=list)
-
-
-@dataclass
-class _SwitchState:
-    """Per-session task-switch-detector state, struct-of-arrays.
-
-    Mirrors :class:`~repro.core.switch.TaskSwitchDetector` field for field;
-    ``nan`` stands in for the scalar detector's ``None`` (unset reference /
-    anchor).  ``reanchors`` tracks the owning optimizer's ``reanchor_count``.
-    """
-
-    n: np.ndarray
-    block: np.ndarray  # (K, warmup) warmup scratch
-    ref_mean: np.ndarray
-    ref_scale: np.ndarray
-    g: np.ndarray
-    anchor_size: np.ndarray
-    switch_counts: np.ndarray
-    reanchors: np.ndarray
-    decisions: List[List[SwitchDecision]] = field(default_factory=list)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -188,8 +155,7 @@ class LockstepSessions:
             Per-session ``alpha``, ``beta``, ``alpha_decay``, ridge
             strength, seeds, noise models and fault plans may vary; window
             sizes, candidate counts, window-model shape, FIND_BEST mode,
-            probe, acquisition and guardrail/detector/gate *parameters*
-            must be uniform.
+            probe, acquisition and guardrail *parameters* must be uniform.
 
     Raises:
         LockstepCompatibilityError: when the population cannot be run
@@ -285,38 +251,10 @@ class LockstepSessions:
                 disabled=np.zeros(self.k, dtype=bool),
                 since_disable=np.zeros(self.k, dtype=int),
                 reenable_count=np.zeros(self.k, dtype=int),
-                reset_count=np.zeros(self.k, dtype=int),
                 decisions=[[] for _ in range(self.k)],
             )
         else:
             self._grs = None
-
-        # Task-switch re-anchoring: per-session window / guardrail epochs.
-        # ``_win_start[k]`` is the step index of the first observation in
-        # session k's current ObservationWindow; ``_gr_start[k]`` the first
-        # step in its guardrail history.  Both stay 0 (the construction-time
-        # epoch) until a detector fires, so detector-free populations take
-        # exactly the pre-switch code paths.
-        self._win_start = np.zeros(self.k, dtype=int)
-        self._gr_start = np.zeros(self.k, dtype=int)
-        self._synced_start = np.zeros(self.k, dtype=int)
-        self._warm_starts = [
-            getattr(o, "switch_warm_start", None) for o in opts
-        ]
-        if u.detector is not None:
-            self._sws: Optional[_SwitchState] = _SwitchState(
-                n=np.zeros(self.k, dtype=int),
-                block=np.zeros((self.k, u.detector.warmup)),
-                ref_mean=np.full(self.k, np.nan),
-                ref_scale=np.full(self.k, np.nan),
-                g=np.zeros(self.k),
-                anchor_size=np.full(self.k, np.nan),
-                switch_counts=np.zeros(self.k, dtype=int),
-                reanchors=np.zeros(self.k, dtype=int),
-                decisions=[[] for _ in range(self.k)],
-            )
-        else:
-            self._sws = None
 
         # Step-indexed history buffers, grown on demand.
         self._t = 0
@@ -353,11 +291,10 @@ class LockstepSessions:
             "ConfigSpace", "window_size", "n_candidates", "min_update_observations",
             "selector min_observations", "polynomial expansion", "find_best_mode",
             "probe", "acquisition", "guardrail settings",
-            "switch-detector settings", "safe-gate settings",
         )
 
         def settings(opt: CentroidLearning, profile: BatchProfile) -> tuple:
-            g, det, gate = opt.guardrail, opt.switch_detector, opt.safe_gate
+            g = opt.guardrail
             return (
                 opt.space, opt.observations.window_size, opt.n_candidates,
                 opt.min_update_observations, opt.selector.min_observations,
@@ -367,11 +304,6 @@ class LockstepSessions:
                     g.min_iterations, g.threshold, g.patience, g.fit_window,
                     g.cooldown,
                 ),
-                None if det is None else (
-                    det.warmup, det.threshold, det.drift, det.clip,
-                    det.min_rel_scale, det.size_jump, det.embedding_jump,
-                ),
-                None if gate is None else (gate.bound, gate.min_observations),
             )
 
         first = opts[0]
@@ -385,7 +317,7 @@ class LockstepSessions:
                 len(opt.observations) == 0 and opt._n_updates == 0,
                 "lock-step requires fresh optimizers (empty windows)",
             )
-            g, det = opt.guardrail, opt.switch_detector
+            g = opt.guardrail
             if g is not None:
                 _require(
                     type(g) is Guardrail and not g.robust,
@@ -395,39 +327,6 @@ class LockstepSessions:
                     g.n_observations == 0 and g.active,
                     "lock-step requires fresh guardrails",
                 )
-            if det is not None:
-                _require(
-                    type(det) is TaskSwitchDetector,
-                    f"lock-step supports TaskSwitchDetector, "
-                    f"got {type(det).__name__}",
-                )
-                _require(
-                    det.n_since_anchor == 0 and det.switch_count == 0,
-                    "lock-step requires fresh switch detectors",
-                )
-            if opt.safe_gate is not None:
-                _require(
-                    type(opt.safe_gate) is SafeExplorationGate,
-                    f"lock-step supports SafeExplorationGate, "
-                    f"got {type(opt.safe_gate).__name__}",
-                )
-        if first.switch_detector is not None:
-            ids = {id(o.switch_detector) for o in opts}
-            _require(
-                len(ids) == len(opts),
-                "each session needs its own TaskSwitchDetector instance",
-            )
-        if first.safe_gate is not None:
-            # Gate active ⟹ the selector is in its model branch: the gate
-            # must never strip candidates while the selector would still be
-            # consuming a cold-start RNG draw, or the lock-step mirror (which
-            # routes gated sessions through the batched model path) diverges.
-            _require(
-                first.safe_gate.min_observations
-                >= first.selector.min_observations,
-                "safe_gate.min_observations must be >= the selector's "
-                "min_observations",
-            )
         uniform = _Uniform(
             window_size=first.observations.window_size,
             n_candidates=first.n_candidates,
@@ -435,8 +334,6 @@ class LockstepSessions:
             sel_min_obs=first.selector.min_observations,
             profile=profiles[0],
             guardrail=first.guardrail,
-            detector=first.switch_detector,
-            gate=first.safe_gate,
         )
         return uniform, np.array([profile.alpha for profile in profiles])
 
@@ -463,26 +360,18 @@ class LockstepSessions:
 
     # -- window models -----------------------------------------------------------
 
-    def _models_for(
-        self, idx: np.ndarray, version: int, n: Optional[int] = None
-    ) -> BatchedRidgePipeline:
+    def _models_for(self, idx: np.ndarray, version: int) -> BatchedRidgePipeline:
         """Fitted window models for sessions ``idx`` at window ``version``.
 
         ``version`` is the number of observations taken so far; stale
         sessions are refit in one batched call (others keep their cached
         fit, exactly like the sequential memoization in
-        :func:`repro.core.find_best.fit_window_model`).  ``n`` is the shared
-        window length of the ``idx`` sessions — callers with task-switch
-        re-anchored populations group sessions by window length first; the
-        default covers the never-re-anchored epoch.  A re-anchor invalidates
-        the cache by pinning ``_model_version`` to -1.
+        :func:`repro.core.find_best.fit_window_model`).
         """
         stale = idx[self._model_version[idx] != version]
         if stale.size:
             u = self._u
-            if n is None:
-                n = min(version, u.window_size)
-            lo = version - n
+            lo = version - min(version, u.window_size)
             fitted = fit_window_models(
                 self._vectors[stale, lo:version],
                 self._sizes[stale, lo:version],
@@ -613,231 +502,51 @@ class LockstepSessions:
                     low[:, None, :]
                     + np.subtract(high, low)[:, None, :] * draws
                 )
-            # Window lengths are per-session once task switches re-anchor;
-            # without a detector every win_start is 0 and there is exactly
-            # one group — the pre-switch fast path.
-            n_windows = np.minimum(t - self._win_start[act], u.window_size)
-            cold = n_windows < u.sel_min_obs
-            if cold.any():
+            n_w = min(t, u.window_size)
+            if n_w < u.sel_min_obs:
                 # Cold start: uniform choice from each session's RNG.
-                for j in np.flatnonzero(cold):
-                    k = act[j]
+                for j, k in enumerate(act):
                     vectors[k] = cands[j, int(self._rngs[k].integers(0, m))]
-            hot_pos = np.flatnonzero(~cold)
-            for n_w in np.unique(n_windows[hot_pos]):
-                pos = hot_pos[n_windows[hot_pos] == n_w]
-                grp = act[pos]
-                n_w = int(n_w)
-                model = self._models_for(grp, version=t, n=n_w)
-                gated = u.gate is not None and n_w >= u.gate.min_observations
-                points = cands[pos]
-                if gated:
-                    # The gate also needs H at the default configuration.
-                    default = np.broadcast_to(self._default, (grp.size, 1, dim))
-                    points = np.concatenate([points, default], axis=1)
-                mean = window_means(model, points, est_sizes[grp])
-                best = np.min(self._perfs[grp, t - n_w : t], axis=1)
-                scores = acquisition_scores(
-                    u.profile.acquisition, mean[:, :m], best[:, None]
+            else:
+                mean = window_means(
+                    self._models_for(act, version=t), cands, est_sizes[act]
                 )
-                if gated:
-                    # Same mask the scalar gate computes; rejecting a
-                    # candidate zeroes its score via -inf, which is
-                    # argmax-equivalent to selecting over the safe subset.
-                    bound = u.gate.bound
-                    mask = mean[:, :m] <= mean[:, m:] * (1.0 + bound)
-                    telemetry.counter("safe.checks").inc(grp.size)
-                    n_rejected = int(grp.size * m - np.count_nonzero(mask))
-                    if n_rejected:
-                        telemetry.counter("safe.rejected").inc(n_rejected)
-                    unsafe = ~mask.any(axis=1)
-                    if unsafe.any():
-                        telemetry.counter("safe.fallbacks").inc(
-                            int(np.count_nonzero(unsafe))
-                        )
-                        vectors[grp[unsafe]] = self._default
-                        scores = scores[~unsafe]
-                        mask = mask[~unsafe]
-                        pos = pos[~unsafe]
-                        grp = grp[~unsafe]
-                    scores = np.where(mask, scores, -np.inf)
-                if grp.size:
-                    chosen = np.argmax(scores, axis=1)
-                    vectors[grp] = cands[pos, chosen]
+                best = np.min(self._perfs[act, t - n_w : t], axis=1)
+                scores = acquisition_scores(
+                    u.profile.acquisition, mean, best[:, None]
+                )
+                chosen = np.argmax(scores, axis=1)
+                vectors[act] = cands[np.arange(act.size), chosen]
         self._vectors[:, t] = vectors
 
         # 3. Execute on the workload substrate.
         self._execute(t, vectors, scales)
 
-        # 4. Observe: task-switch sweep first (fired sessions re-anchor and
-        #    skip the guardrail and centroid phases this step, exactly like
-        #    the sequential early return), then the guardrail sweep, then
-        #    the vectorized Alg.-1 centroid update for every session that is
-        #    active with a full-enough window.
+        # 4. Observe: the guardrail sweep, then the vectorized Alg.-1
+        #    centroid update for every session that is active with a
+        #    full-enough window.
         telemetry.counter("session.steps").inc(k_total)
-        if self._sws is not None:
-            fired = self._switch_step(t)
-            not_fired = ~fired
-        else:
-            not_fired = np.ones(k_total, dtype=bool)
         if self._grs is not None:
-            active_after = self._guardrail_step(t, not_fired)
-            held = int(np.count_nonzero(~active_after & not_fired))
+            active_after = self._guardrail_step(t)
+            held = int(np.count_nonzero(~active_after))
             if held:
                 telemetry.counter(
                     "centroid.updates_skipped", reason="guardrail"
                 ).inc(held)
-            updatable = np.flatnonzero(active_after & not_fired)
+            updatable = np.flatnonzero(active_after)
         else:
             active_after = np.ones(k_total, dtype=bool)
-            updatable = np.flatnonzero(not_fired)
+            updatable = np.arange(k_total)
         self._active[:, t] = active_after
-        n_wins = np.minimum(t + 1 - self._win_start[updatable], u.window_size)
-        small = n_wins < u.min_update_obs
-        n_small = int(np.count_nonzero(small))
-        if n_small:
-            telemetry.counter(
-                "centroid.updates_skipped", reason="window"
-            ).inc(n_small)
-        full = updatable[~small]
-        if full.size:
-            full_wins = n_wins[~small]
-            for n_win in np.unique(full_wins):
-                self._update_centroids(
-                    full[full_wins == n_win], t, int(n_win)
-                )
+        n_win = min(t + 1, u.window_size)
+        if n_win < u.min_update_obs:
+            if updatable.size:
+                telemetry.counter(
+                    "centroid.updates_skipped", reason="window"
+                ).inc(updatable.size)
+        elif updatable.size:
+            self._update_centroids(updatable, t, n_win)
         self._t = t + 1
-
-    def _switch_step(self, t: int) -> np.ndarray:
-        """Vectorized :meth:`TaskSwitchDetector.update` sweep for step ``t``.
-
-        The elementwise CUSUM recursion runs across all sessions at once
-        (float64 elementwise ops are bitwise equal to the scalar update);
-        the rare events — warmup-block freezes and detections — drop to
-        per-session loops that replay the scalar arithmetic exactly.
-        Returns the fired mask; fired sessions are fully re-anchored
-        (detector, window epoch, guardrail, warm-started centroid) before
-        returning, mirroring ``CentroidLearning._re_anchor``.
-        """
-        det = self._u.detector
-        s = self._sws
-        k_total = self.k
-        telemetry.counter("switch.checks").inc(k_total)
-        perfs = self._perfs[:, t]
-        sizes = self._sizes[:, t]
-        x = perfs / sizes
-        fired = np.zeros(k_total, dtype=bool)
-        stats = np.zeros(k_total)
-        bounds = np.zeros(k_total)
-        reasons = [""] * k_total
-
-        # Input-size channel: immediate fire on a size_jump× ratio versus
-        # the anchor, either direction, before any warmup accumulation.
-        anchored = ~np.isnan(s.anchor_size)
-        if det.size_jump is not None and anchored.any():
-            ratio = sizes / np.where(anchored, s.anchor_size, 1.0)
-            size_fire = anchored & (
-                (ratio > det.size_jump) | (ratio * det.size_jump < 1.0)
-            )
-            if size_fire.any():
-                fired |= size_fire
-                stats[size_fire] = ratio[size_fire]
-                bounds[size_fire] = det.size_jump
-                for k in np.flatnonzero(size_fire):
-                    reasons[k] = "input_size"
-        # (Plan-shape channel: lock-step sessions carry no embeddings, so
-        # the scalar detector's cosine check is inert here by construction.)
-
-        quiet = ~fired
-        new_anchor = quiet & ~anchored
-        if new_anchor.any():
-            s.anchor_size[new_anchor] = sizes[new_anchor]
-
-        warm = quiet & (s.n < det.warmup)
-        if warm.any():
-            idx = np.flatnonzero(warm)
-            s.block[idx, s.n[idx]] = x[idx]
-            s.n[idx] += 1
-            for k in idx[s.n[idx] == det.warmup]:
-                # Freeze the reference exactly as the scalar detector does.
-                block = s.block[k, : det.warmup]
-                mean = float(block.mean())
-                s.ref_mean[k] = mean
-                s.ref_scale[k] = max(
-                    float(block.std()), det.min_rel_scale * abs(mean), 1e-12
-                )
-
-        hot = quiet & ~warm
-        if hot.any():
-            idx = np.flatnonzero(hot)
-            z = (x[idx] - s.ref_mean[idx]) / s.ref_scale[idx]
-            g = np.maximum(0.0, s.g[idx] + np.minimum(z, det.clip) - det.drift)
-            s.g[idx] = g
-            s.n[idx] += 1
-            over = g > det.threshold
-            if over.any():
-                cusum_fire = idx[over]
-                fired[cusum_fire] = True
-                stats[cusum_fire] = g[over]
-                bounds[cusum_fire] = det.threshold
-                for k in cusum_fire:
-                    reasons[k] = "cost_shift"
-
-        for k in np.flatnonzero(fired):
-            decision = SwitchDecision(
-                t, float(stats[k]), float(bounds[k]), True, reasons[k]
-            )
-            s.switch_counts[k] += 1
-            s.decisions[k].append(decision)
-            # Detector re-anchor on the firing observation.
-            s.n[k] = 1
-            s.block[k, 0] = x[k]
-            s.g[k] = 0.0
-            s.ref_mean[k] = np.nan
-            s.ref_scale[k] = np.nan
-            s.anchor_size[k] = sizes[k]
-            _record_detection(decision)
-            # Optimizer re-anchor: fresh window epoch seeded with the firing
-            # observation, guardrail reset, warm-started centroid.
-            self._win_start[k] = t
-            self._model_version[k] = -1
-            self._n_updates[k] = 0.0
-            if self._grs is not None:
-                gs = self._grs
-                gs.consecutive[k] = 0
-                gs.disabled[k] = False
-                gs.since_disable[k] = 0
-                gs.reset_count[k] += 1
-                self._gr_start[k] = t + 1
-                telemetry.counter("guardrail.resets").inc()
-            warm_start = self._warm_starts[k]
-            if warm_start is not None:
-                obs = Observation(
-                    config=self._vectors[k, t].copy(),
-                    data_size=float(sizes[k]),
-                    performance=float(perfs[k]),
-                    iteration=t,
-                )
-                try:
-                    vector = warm_start(obs)
-                except Exception:  # noqa: BLE001 — mirror the scalar path
-                    telemetry.counter("switch.warm_start_failures").inc()
-                    vector = None
-                if vector is not None:
-                    self._centroids[k] = self.space.clip(
-                        np.asarray(vector, dtype=float)
-                    )
-                    telemetry.counter("switch.warm_starts").inc()
-            s.reanchors[k] += 1
-            telemetry.counter("switch.reanchors", reason=decision.reason).inc()
-            telemetry.emit(
-                "switch.reanchor",
-                iteration=t,
-                reason=decision.reason,
-                statistic=decision.statistic,
-                centroid=self._centroids[k].tolist(),
-            )
-        return fired
 
     def _update_centroids(self, upd: np.ndarray, t: int, n_win: int) -> None:
         """The Alg.-1 centroid update for sessions ``upd``, whose windows
@@ -847,7 +556,7 @@ class LockstepSessions:
             1.0 + self._alpha_decays[upd] * self._n_updates[upd]
         )
         c_star, delta, centroid = centroid_step(
-            self._models_for(upd, version=t + 1, n=n_win),
+            self._models_for(upd, version=t + 1),
             self._vectors[upd, lo : t + 1],
             self._sizes[upd, lo : t + 1],
             self._perfs[upd, lo : t + 1],
@@ -861,17 +570,12 @@ class LockstepSessions:
         self._ever_updated[upd] = True
         telemetry.counter("centroid.updates").inc(upd.size)
 
-    def _guardrail_step(self, t: int, eligible: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`Guardrail.update` sweep; returns the active mask.
-
-        ``eligible`` masks out sessions whose detector fired this step —
-        the sequential path re-anchors and returns before ever calling
-        ``guardrail.update``, so they take no cooldown tick and no check.
-        """
+    def _guardrail_step(self, t: int) -> np.ndarray:
+        """Vectorized :meth:`Guardrail.update` sweep; returns the active mask."""
         g = self._u.guardrail
         s = self._grs
         was_disabled = s.disabled.copy()
-        dis = np.flatnonzero(was_disabled & eligible)
+        dis = np.flatnonzero(was_disabled)
         if dis.size and g.cooldown is not None:
             s.since_disable[dis] += 1
             telemetry.counter("guardrail.cooldown_holds").inc(dis.size)
@@ -890,64 +594,53 @@ class LockstepSessions:
                     )
         # Sessions disabled at entry (even ones re-enabled just above) skip
         # the check this step, exactly like the sequential early return.
-        # History lengths are per-session once a task switch resets a
-        # guardrail (``_gr_start`` moves); group by fit-window length so
-        # each batched trend solve sees a rectangular stack.
-        n_obs = t + 1 - self._gr_start
-        chk_all = np.flatnonzero(
-            eligible & ~was_disabled & (n_obs >= g.min_iterations)
-        )
-        if chk_all.size:
-            w_all = np.minimum(n_obs[chk_all], g.fit_window)
-            for w in np.unique(w_all):
-                chk = chk_all[w_all == w]
-                w = int(w)
-                lo = t + 1 - w
-                X = np.empty((chk.size, w, 2))
-                X[:, :, 0] = np.arange(lo, t + 1, dtype=float)[None, :]
-                X[:, :, 1] = self._sizes[chk, lo : t + 1]
-                y = self._perfs[chk, lo : t + 1]
-                p_last = self._sizes[chk, t]
-                rows = np.empty((chk.size, 2, 2))
-                rows[:, 0, 0] = float(t) + 1.0
-                rows[:, 1, 0] = float(t)
-                rows[:, :, 1] = p_last[:, None]
-                preds = ols_predict(X, y, rows)
-                pred_next = preds[:, 0]
-                previous = np.minimum(self._perfs[chk, t], preds[:, 1])
-                violated = pred_next > previous * (1.0 + g.threshold)
-                for j, k in enumerate(chk):
-                    s.decisions[k].append(GuardrailDecision(
-                        iteration=t,
-                        predicted_next=float(pred_next[j]),
-                        previous=float(previous[j]),
-                        violated=bool(violated[j]),
-                    ))
-                telemetry.counter("guardrail.checks").inc(chk.size)
-                n_violated = int(np.count_nonzero(violated))
-                if n_violated:
-                    telemetry.counter(
-                        "guardrail.verdicts", verdict="violation"
-                    ).inc(n_violated)
-                if chk.size - n_violated:
-                    telemetry.counter("guardrail.verdicts", verdict="ok").inc(
-                        chk.size - n_violated
-                    )
-                s.consecutive[chk] = np.where(
-                    violated, s.consecutive[chk] + 1, 0
+        chk = np.flatnonzero(~was_disabled)
+        if chk.size and t + 1 >= g.min_iterations:
+            w = min(t + 1, g.fit_window)
+            lo = t + 1 - w
+            X = np.empty((chk.size, w, 2))
+            X[:, :, 0] = np.arange(lo, t + 1, dtype=float)[None, :]
+            X[:, :, 1] = self._sizes[chk, lo : t + 1]
+            y = self._perfs[chk, lo : t + 1]
+            p_last = self._sizes[chk, t]
+            rows = np.empty((chk.size, 2, 2))
+            rows[:, 0, 0] = float(t) + 1.0
+            rows[:, 1, 0] = float(t)
+            rows[:, :, 1] = p_last[:, None]
+            preds = ols_predict(X, y, rows)
+            pred_next = preds[:, 0]
+            previous = np.minimum(self._perfs[chk, t], preds[:, 1])
+            violated = pred_next > previous * (1.0 + g.threshold)
+            for j, k in enumerate(chk):
+                s.decisions[k].append(GuardrailDecision(
+                    iteration=t,
+                    predicted_next=float(pred_next[j]),
+                    previous=float(previous[j]),
+                    violated=bool(violated[j]),
+                ))
+            telemetry.counter("guardrail.checks").inc(chk.size)
+            n_violated = int(np.count_nonzero(violated))
+            if n_violated:
+                telemetry.counter(
+                    "guardrail.verdicts", verdict="violation"
+                ).inc(n_violated)
+            if chk.size - n_violated:
+                telemetry.counter("guardrail.verdicts", verdict="ok").inc(
+                    chk.size - n_violated
                 )
-                tripped = chk[violated & (s.consecutive[chk] >= g.patience)]
-                if tripped.size:
-                    s.disabled[tripped] = True
-                    telemetry.counter("guardrail.disables").inc(tripped.size)
-                    for j, k in enumerate(chk):
-                        if s.disabled[k] and not was_disabled[k]:
-                            telemetry.emit(
-                                "guardrail.disable",
-                                iteration=t,
-                                predicted_next=float(pred_next[j]),
-                                previous=float(previous[j]),
-                            )
+            s.consecutive[chk] = np.where(violated, s.consecutive[chk] + 1, 0)
+            tripped = chk[violated & (s.consecutive[chk] >= g.patience)]
+            if tripped.size:
+                s.disabled[tripped] = True
+                telemetry.counter("guardrail.disables").inc(tripped.size)
+                for j, k in enumerate(chk):
+                    if s.disabled[k] and not was_disabled[k]:
+                        telemetry.emit(
+                            "guardrail.disable",
+                            iteration=t,
+                            predicted_next=float(pred_next[j]),
+                            previous=float(previous[j]),
+                        )
         return ~s.disabled
 
     # -- driving + results ---------------------------------------------------------
@@ -1028,10 +721,8 @@ class LockstepSessions:
 
     def _sync_state(self) -> None:
         """Write lock-step state back into the real optimizer objects."""
-        from ..core.observation import ObservationWindow
-
         n = self._t
-        u = self._u
+        lo = self._synced_obs
         iterations = np.arange(n, dtype=float).tolist()
         for k, opt in enumerate(self._opts):
             opt._centroid = self._centroids[k].copy()
@@ -1039,17 +730,7 @@ class LockstepSessions:
             if self._ever_updated[k]:
                 opt._last_best = self._last_best[k].copy()
                 opt._last_gradient = self._last_delta[k].copy()
-            # Observations: append incrementally, unless a task switch moved
-            # this session's window epoch since the last sync — then mirror
-            # the sequential re-anchor with a fresh window holding only the
-            # current epoch's observations.
-            win_start = int(self._win_start[k])
-            if win_start != self._synced_start[k]:
-                opt.observations = ObservationWindow(u.window_size)
-                self._synced_start[k] = win_start
-                lo = win_start
-            else:
-                lo = self._synced_obs
+            # Observations are appended incrementally since the last sync.
             # One private copy per session; each Observation holds a row
             # view of it (the copy is never mutated, so the rows are as
             # immutable as the per-record copies the sequential path makes).
@@ -1080,35 +761,14 @@ class LockstepSessions:
             guardrail = opt.guardrail
             if guardrail is not None and self._grs is not None:
                 s = self._grs
-                g_lo = int(self._gr_start[k])
-                guardrail._iterations = iterations[g_lo:]
-                guardrail._data_sizes = self._sizes[k, g_lo:n].tolist()
-                guardrail._times = self._perfs[k, g_lo:n].tolist()
+                guardrail._iterations = iterations[:]  # private: update() appends
+                guardrail._data_sizes = self._sizes[k, :n].tolist()
+                guardrail._times = self._perfs[k, :n].tolist()
                 guardrail._consecutive_violations = int(s.consecutive[k])
                 guardrail._disabled = bool(s.disabled[k])
                 guardrail._since_disable = int(s.since_disable[k])
                 guardrail.reenable_count = int(s.reenable_count[k])
-                guardrail.reset_count = int(s.reset_count[k])
                 guardrail.decisions = list(s.decisions[k])
-            if self._sws is not None:
-                sw = self._sws
-                det = opt.switch_detector
-                n_k = int(sw.n[k])
-                det._n = n_k
-                det._block = [
-                    float(v)
-                    for v in sw.block[k, : min(n_k, u.detector.warmup)]
-                ]
-                ref_mean = float(sw.ref_mean[k])
-                det._ref_mean = None if np.isnan(ref_mean) else ref_mean
-                ref_scale = float(sw.ref_scale[k])
-                det._ref_scale = None if np.isnan(ref_scale) else ref_scale
-                det._g = float(sw.g[k])
-                anchor = float(sw.anchor_size[k])
-                det._anchor_size = None if np.isnan(anchor) else anchor
-                det.switch_count = int(sw.switch_counts[k])
-                det.detections = list(sw.decisions[k])
-                opt.reanchor_count = int(sw.reanchors[k])
         self._synced_obs = n
 
 

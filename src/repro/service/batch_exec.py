@@ -19,22 +19,24 @@ calls too; this module keeps the per-session work around it:
 So each session's observation/counter trail is bit-identical to
 request-by-request :class:`~repro.service.sessions.TenantSessionHost` calls,
 which the ``diff_sharded_single`` oracle (:mod:`repro.verify.diff`) pins.
-Sessions :func:`batch_profile_for` rejects take the scalar path,
-:func:`apply_scalar`, and are counted once as
-``service.batch.fallback_sessions{reason=...}``.
+Sessions the kernel's shape rule,
+:func:`repro.core.batched_step.batch_profile_for`, rejects — the one rule
+lock-step applies too, so a switch detector or a safe gate is among the
+reasons — take the scalar path, :func:`apply_scalar`, and are counted once
+as ``service.batch.fallback_sessions{reason=...}``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry
-from ..core import batched_step
 from ..core.batched_step import (
     BatchProfile,
     acquisition_scores,
+    batch_profile_for,
     centroid_step,
     fit_window_models,
     stack_models,
@@ -45,31 +47,9 @@ from ..core.observation import ObservationWindow
 from ..core.optimizer_base import Optimizer
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
-__all__ = ["BatchProfile", "apply_scalar", "batch_profile_for", "execute_run"]
+__all__ = ["BatchProfile", "apply_scalar", "execute_run"]
 
 _MODEL_ATTR = "_batched_window_model"
-
-
-def batch_profile_for(optimizer: Optimizer) -> Union[BatchProfile, str]:
-    """Probe whether the batched drain can serve ``optimizer``'s requests.
-
-    The kernel's rule, :func:`repro.core.batched_step.batch_profile_for`,
-    plus the two shapes the drain leaves to the scalar path: a switch
-    detector or a safe gate.  Any guardrail is eligible, because the
-    batched observe phase calls the session's own ``Guardrail.update``.
-
-    Returns the session's :class:`BatchProfile`, or the reason it is
-    ineligible as a short label — the kernel's, ``"switch_detector"`` or
-    ``"safe_gate"`` — the ``reason`` of the
-    ``service.batch.fallback_sessions`` counter.
-    """
-    profile = batched_step.batch_profile_for(optimizer)
-    if isinstance(profile, BatchProfile):
-        if optimizer.switch_detector is not None:
-            return "switch_detector"
-        if optimizer.safe_gate is not None:
-            return "safe_gate"
-    return profile
 
 
 def _groups(

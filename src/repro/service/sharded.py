@@ -365,9 +365,23 @@ class ShardedAutotuneService:
     # -- introspection -----------------------------------------------------------
 
     def sessions(self) -> Dict[SessionKey, TenantSession]:
-        """Every hosted session across shards (for trail collection)."""
+        """Every hosted session across shards (for trail collection).
+
+        Raises:
+            RuntimeError: when one session key is hosted on two shards — a
+                routing bug that a plain merge would hide by keeping only
+                one of the copies.
+        """
         merged: Dict[SessionKey, TenantSession] = {}
-        for shard in self._shards.values():
+        hosts: Dict[SessionKey, str] = {}
+        for shard_id, shard in self._shards.items():
+            for key in shard.host.sessions:
+                if key in hosts:
+                    raise RuntimeError(
+                        f"session {key!r} is hosted on both "
+                        f"{hosts[key]} and {shard_id}"
+                    )
+                hosts[key] = shard_id
             merged.update(shard.host.sessions)
         return merged
 

@@ -7,7 +7,8 @@ burden (see ``docs/testing.md``):
 * :mod:`repro.verify.invariants` — an :class:`InvariantRegistry` of cheap,
   composable state checkers (centroid in-bounds, guardrail cooldown
   discipline, window-statistics recompute, GP posterior sanity, noise-stream
-  purity) that runs inline in any session via ``TuningSession(verify=...)``.
+  purity) that sweeps a live session after each step via
+  ``InvariantRegistry.check_session``.
 * :mod:`repro.verify.diff` — differential oracles driving one seeded
   workload through both sides of each redundant path pair (scalar/batch,
   refit/incremental, live/replay, lockstep/sequential,

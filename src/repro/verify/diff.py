@@ -69,7 +69,7 @@ from ..core.centroid import CentroidLearning
 from ..core.config_space import ConfigSpace
 from ..core.guardrail import Guardrail
 from ..core.observation import Observation
-from ..core.switch import SafeExplorationGate, TaskSwitchDetector
+from ..core.switch import TaskSwitchDetector
 from ..experiments.fig15_internal_customers import workload_specs
 from ..experiments.lockstep import LockstepSessions, SessionSpec, run_sequential
 from ..faults.injectors import FaultySimulator
@@ -430,8 +430,6 @@ def diff_lockstep_sequential(
     n_iterations: int = 12,
     fault_every: int = 5,
     lockstep_factory=None,
-    switching: bool = False,
-    safe: bool = False,
 ) -> DiffReport:
     """A lock-step session fleet vs. its K independent sequential twins.
 
@@ -454,20 +452,10 @@ def diff_lockstep_sequential(
     ``lockstep_factory`` swaps the engine under test (the sensitivity suite
     passes a deliberately-broken subclass to prove the oracle catches a
     single-session perturbation at the faulting step).
-
-    ``switching=True`` arms every session with a
-    :class:`~repro.core.switch.TaskSwitchDetector` and gives each a
-    staggered step-change in data scale (a 5× jump at ``4 + q % 4``), so
-    sessions re-anchor at *different* steps — the ragged-epoch case the
-    vectorized detector state must keep bit-identical.  Odd sessions get a
-    deterministic warm-start hook; every sixth a failing one (the swallowed
-    -failure path).  ``safe=True`` adds a uniform
-    :class:`~repro.core.switch.SafeExplorationGate` to every session.
     """
     guardrail_factory = lambda: Guardrail(
         min_iterations=4, threshold=0.15, patience=2
     )
-    space = query_level_space()
 
     def build_specs():
         population = generate_population(
@@ -488,35 +476,6 @@ def diff_lockstep_sequential(
                     )
                     spec = replace(
                         spec, simulator=FaultySimulator(spec.simulator, plan)
-                    )
-                if switching:
-                    opt = spec.optimizer
-                    opt.switch_detector = TaskSwitchDetector(
-                        warmup=4, threshold=4.0, size_jump=3.0
-                    )
-                    if q % 2 == 1:
-                        if q % 6 == 5:
-                            def _failing_warm_start(obs):
-                                raise RuntimeError("warm-start backend down")
-                            opt.switch_warm_start = _failing_warm_start
-                        else:
-                            target = space.sample_vector(
-                                np.random.default_rng(seed * 97 + q)
-                            )
-                            opt.switch_warm_start = (
-                                lambda obs, _v=target: _v
-                            )
-                    base = spec.scale_fn
-                    step_at = 4 + (q % 4)
-                    spec.scale_fn = (
-                        lambda t, _base=base, _at=step_at: (
-                            (_base(t) if _base is not None else 1.0)
-                            * (5.0 if t >= _at else 1.0)
-                        )
-                    )
-                if safe:
-                    spec.optimizer.safe_gate = SafeExplorationGate(
-                        bound=0.5, min_observations=3
                     )
                 specs.append(spec)
         return specs
@@ -558,17 +517,6 @@ def diff_lockstep_sequential(
                 "guardrail_active": guardrail.active,
                 "guardrail_resets": guardrail.reset_count,
             })
-        if switching:
-            for spec in specs:
-                det = spec.optimizer.switch_detector
-                steps.append({
-                    "switch_decisions": [
-                        (d.iteration, d.statistic, d.bound, d.reason)
-                        for d in det.detections
-                    ],
-                    "detector_state": det.to_state(),
-                    "reanchors": spec.optimizer.reanchor_count,
-                })
         return steps
 
     return diff_trails(
@@ -825,8 +773,9 @@ def diff_sharded_single(
 
     def trail(service):
         steps = []
-        for key in sorted(service.sessions()):
-            session = service.sessions()[key]
+        sessions = service.sessions()
+        for key in sorted(sessions):
+            session = sessions[key]
             optimizer = session.optimizer
             for index, obs in enumerate(optimizer.observations.history):
                 steps.append({

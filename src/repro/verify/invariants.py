@@ -4,9 +4,9 @@ The optimizer/guardrail/simulator stack maintains a handful of state
 invariants that, when broken, produce *silently wrong* tuning rather than a
 crash — a centroid drifting out of bounds still suggests configurations, a
 guardrail re-enabling mid-cooldown still records decisions.  This module
-packages those invariants as cheap, composable checkers that can run inline
-in any :class:`~repro.core.session.TuningSession` (via its ``verify=`` hook)
-or on demand against a live optimizer.
+packages those invariants as cheap, composable checkers that sweep a live
+:class:`~repro.core.session.TuningSession` after any step
+(:meth:`InvariantRegistry.check_session`) or a live optimizer on demand.
 
 Built-in checkers (see :func:`default_registry`):
 
@@ -157,13 +157,14 @@ class CheckResult:
 class InvariantRegistry:
     """An ordered, composable collection of :class:`Invariant` checkers.
 
-    Registries plug directly into a session::
+    A caller that drives a session sweeps it after every step::
 
-        session = TuningSession(plan, simulator, optimizer,
-                                verify=default_registry())
+        registry = default_registry()
+        for _ in range(n_iterations):
+            registry.check_session(session, session.step())
 
-    and every ``step()`` then runs the full sweep against live state,
-    raising :class:`InvariantViolation` at the first broken invariant.
+    Each sweep runs every checker against live state, raising
+    :class:`InvariantViolation` at the first broken invariant.
     """
 
     def __init__(self, invariants=()):
@@ -241,7 +242,7 @@ class InvariantRegistry:
     def check_session(
         self, session, record=None, raise_on_violation: bool = True
     ) -> List[CheckResult]:
-        """Sweep a live session — the ``verify=`` hook entry point."""
+        """Sweep a live session after the step that recorded ``record``."""
         return self.check_all(
             VerificationContext.from_session(session, record),
             raise_on_violation=raise_on_violation,

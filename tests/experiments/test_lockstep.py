@@ -19,6 +19,7 @@ from repro.core.find_best import FindBestMode
 from repro.core.guardrail import Guardrail
 from repro.core.observation import Observation
 from repro.core.selectors import SurrogateSelector
+from repro.core.switch import SafeExplorationGate, TaskSwitchDetector
 from repro.experiments.lockstep import (
     LockstepCompatibilityError,
     LockstepReplicatedRuns,
@@ -197,6 +198,23 @@ class TestValidation:
         with pytest.raises(LockstepCompatibilityError, match="model"):
             LockstepSessions(specs)
 
+    @pytest.mark.parametrize("reason, kwargs", [
+        ("switch_detector", {"switch_detector": TaskSwitchDetector()}),
+        ("safe_gate", {"safe_gate": SafeExplorationGate()}),
+    ], ids=["switch_detector", "safe_gate"])
+    def test_rejects_detector_or_gate_session(self, reason, kwargs):
+        # Detectors and gates run only in the scalar classes: one armed
+        # session is enough to send the population to the sequential path.
+        specs = mixed_population()[:3]
+        specs[2].optimizer = CentroidLearning(
+            query_level_space(),
+            guardrail=Guardrail(min_iterations=3, threshold=0.2,
+                                patience=2, cooldown=3),
+            seed=2, **kwargs,
+        )
+        with pytest.raises(LockstepCompatibilityError, match=reason):
+            LockstepSessions(specs)
+
     def test_rejects_mixed_guardrail_presence(self):
         specs = mixed_population()[:2]
         specs[1].optimizer = CentroidLearning(query_level_space(), seed=1)
@@ -326,13 +344,21 @@ def reference_runs(factory, objective, n_iterations, n_runs,
     ])
 
 
-# run index -> optimizer.  Lock-step runs the Centroid Learning population;
-# it rejects the other two, which run_replicated then loops over in-process.
+# run index -> optimizer.  Lock-step runs the plain Centroid Learning
+# population; it rejects the others, which run_replicated then loops over
+# in-process.
 POPULATIONS = {
     "centroid_learning": lambda space, i: CentroidLearning(space, seed=10 + i),
     "random_search": lambda space, i: RandomSearch(space, seed=10 + i),
     # Adaptive, so each run's noise RNG shapes its trajectory.
     "flow2": lambda space, i: FLOW2(space, seed=10 + i),
+    # Centroid Learning outside the batched shape rule.
+    "switch_detector": lambda space, i: CentroidLearning(
+        space, seed=10 + i, switch_detector=TaskSwitchDetector()
+    ),
+    "safe_gate": lambda space, i: CentroidLearning(
+        space, seed=10 + i, safe_gate=SafeExplorationGate()
+    ),
 }
 LOCKSTEP_POPULATIONS = {"centroid_learning"}
 

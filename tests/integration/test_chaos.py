@@ -290,8 +290,8 @@ def test_combined_fault_storm(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_invariant_registry_sweeps_clean_under_faults(seed):
-    """The chaos suite exercises the verify hook: a session driven by a
-    latency-spiking FaultySimulator must keep every state invariant intact
+    """The invariant registry sweeps a session driven by a latency-spiking
+    FaultySimulator after every step: every state invariant must hold
     (spiked observations are bad *data*, never broken *state*)."""
     from repro.core.centroid import CentroidLearning
     from repro.core.guardrail import Guardrail
@@ -313,9 +313,10 @@ def test_invariant_registry_sweeps_clean_under_faults(seed):
             space, window_size=8, seed=seed,
             guardrail=Guardrail(min_iterations=10, patience=2, cooldown=4),
         ),
-        verify=registry,  # raises InvariantViolation on any broken invariant
     )
-    session.run(30)
+    for _ in range(30):
+        # Raises InvariantViolation on any broken invariant.
+        registry.check_session(session, session.step())
     assert fault_plan.fired(FaultKind.LATENCY_SPIKE) > 0
     checked = {
         r.invariant

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.batched_step import BatchProfile, batch_profile_for
 from repro.core.centroid import CentroidLearning, default_window_model_factory
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.find_best import FindBestMode
@@ -21,7 +22,6 @@ from repro.ml.acquisition import (
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
 from repro.service.admission import Priority, ShedError
-from repro.service.batch_exec import BatchProfile, batch_profile_for
 from repro.service.sharded import ShardedAutotuneService, TuneRequest
 from repro.sparksim.configs import query_level_space
 
@@ -442,6 +442,21 @@ class TestMisroute:
         owner = service.ring.owner(victim)
         assert [r.shard_id for r in requests] == [owner, service.wrong_shard]
         assert service.wrong_shard != owner
+
+    def test_double_hosted_session_is_refused(self):
+        # The misrouted suggest spins up a second copy of the victim's
+        # session on the wrong shard; merging the shard tables must name
+        # the key and both shards instead of keeping one copy.
+        victim = WORKLOADS[0]
+        service = MisroutingService(
+            3, optimizer_factory, queue_capacity=256, victim=victim, after=2
+        )
+        with pytest.raises(RuntimeError, match="hosted on both") as exc_info:
+            drive(service, WORKLOADS, n_iterations=2)
+        message = str(exc_info.value)
+        assert repr((victim, f"{victim}/q0")) in message
+        assert service.ring.owner(victim) in message
+        assert service.wrong_shard in message
 
 
 class TestMetrics:

@@ -268,49 +268,49 @@ class TestGpChecker:
 
 
 class TestSessionHook:
-    def test_bad_verify_argument_raises(self, q3_plan, quiet_simulator, spark_space):
-        with pytest.raises(TypeError, match="verify"):
-            TuningSession(
-                plan=q3_plan, simulator=quiet_simulator,
-                optimizer=CentroidLearning(spark_space, seed=0),
-                verify=42,
-            )
+    """A caller sweeps a live session after each step it drives."""
+
+    @staticmethod
+    def session(plan, simulator, space):
+        return TuningSession(
+            plan=plan, simulator=simulator,
+            optimizer=CentroidLearning(space, seed=0),
+        )
 
     def test_callable_hook_sees_every_record(self, q3_plan, quiet_simulator, spark_space):
         seen = []
 
-        def hook(session, record):
-            seen.append(record)
+        def record_seen(ctx):
+            seen.append(ctx.record)
+            return True
 
-        session = TuningSession(
-            plan=q3_plan, simulator=quiet_simulator,
-            optimizer=CentroidLearning(spark_space, seed=0),
-            verify=hook,
-        )
-        trace = session.run(3)
-        assert seen == trace.records
+        registry = InvariantRegistry([Invariant("record_seen", record_seen)])
+        session = self.session(q3_plan, quiet_simulator, spark_space)
+        for _ in range(3):
+            registry.check_session(session, session.step())
+        assert seen == session.trace.records
 
     def test_registry_hook_runs_clean_and_counts_sweeps(
         self, q3_plan, quiet_simulator, spark_space
     ):
-        session = TuningSession(
-            plan=q3_plan, simulator=quiet_simulator,
-            optimizer=CentroidLearning(spark_space, seed=0),
-            verify=default_registry(),
-        )
+        registry = default_registry()
+        session = self.session(q3_plan, quiet_simulator, spark_space)
         with telemetry.capture() as cap:
-            session.run(4)
-        assert cap.counters().get("session.verify_sweeps") == 4
+            for _ in range(4):
+                registry.check_session(session, session.step())
+        # Every sweep runs (checks or skips) each checker once.
+        counters = cap.counters()
+        checks = sum(v for k, v in counters.items() if k.startswith("verify.checks"))
+        assert checks == 4 * len(registry)
+        assert not any(k.startswith("verify.violations") for k in counters)
 
     def test_violating_hook_aborts_the_step(self, q3_plan, quiet_simulator, spark_space):
         registry = InvariantRegistry([
             Invariant("always_fails", lambda ctx: (_ for _ in ()).throw(
                 InvariantViolation("always_fails", "nope"))),
         ])
-        session = TuningSession(
-            plan=q3_plan, simulator=quiet_simulator,
-            optimizer=CentroidLearning(spark_space, seed=0),
-            verify=registry,
-        )
+        session = self.session(q3_plan, quiet_simulator, spark_space)
         with pytest.raises(InvariantViolation, match="always_fails"):
-            session.run(2)
+            for _ in range(2):
+                registry.check_session(session, session.step())
+        assert len(session.trace) == 1

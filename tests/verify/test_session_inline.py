@@ -23,6 +23,13 @@ from repro.workloads.tpch import tpch_plan
 pytestmark = pytest.mark.verify
 
 
+def run_checked(registry, session, n_iterations):
+    """Drive ``session``, sweeping the registry after every step; raises
+    InvariantViolation on any broken invariant."""
+    for _ in range(n_iterations):
+        registry.check_session(session, session.step())
+
+
 def checked_names(registry, session):
     return {
         r.invariant
@@ -41,12 +48,12 @@ def test_noisy_centroid_session_sweeps_clean():
             space, window_size=8, seed=0,
             guardrail=Guardrail(min_iterations=15, patience=2, cooldown=4),
         ),
-        verify=registry,
     )
     with telemetry.capture() as cap:
-        session.run(60)  # raises InvariantViolation on any broken invariant
+        run_checked(registry, session, 60)
     counters = cap.counters()
-    assert counters.get("session.verify_sweeps") == 60
+    checks = sum(v for k, v in counters.items() if k.startswith("verify.checks"))
+    assert checks == 60 * len(registry)
     assert not any(k.startswith("verify.violations") for k in counters)
     assert checked_names(registry, session) == {
         "centroid_in_bounds", "guardrail_cooldown",
@@ -61,9 +68,8 @@ def test_bayesian_session_covers_gp_checker():
         plan=tpch_plan(6, scale_factor=1.0),
         simulator=SparkSimulator(noise=low_noise(), seed=0),
         optimizer=BayesianOptimization(space, n_init=4, seed=0),
-        verify=registry,
     )
-    session.run(10)
+    run_checked(registry, session, 10)
     assert "gp_posterior" in checked_names(registry, session)
 
 
@@ -76,14 +82,12 @@ def test_both_sessions_cover_all_five_checkers():
             space, window_size=8, seed=1,
             guardrail=Guardrail(min_iterations=15, patience=2, cooldown=4),
         ),
-        verify=registry,
     )
     bo = TuningSession(
         plan=tpch_plan(6), simulator=SparkSimulator(noise=low_noise(), seed=1),
         optimizer=BayesianOptimization(space, n_init=4, seed=1),
-        verify=registry,
     )
-    cl.run(30)
-    bo.run(8)
+    run_checked(registry, cl, 30)
+    run_checked(registry, bo, 8)
     union = checked_names(registry, cl) | checked_names(registry, bo)
     assert union == set(registry.names())

@@ -7,10 +7,9 @@ observation trails, centroid state, and every non-``service.*`` telemetry
 counter must match bit-for-bit.  The planted hash-ring misroute is the
 acceptance check that the oracle actually *can* detect a routing bug: a
 misrouted tenant silently grows a second session on the wrong shard, and
-the oracle must report the divergence.
+collecting the sharded trail must fail on it, naming the tenant and both
+shards.
 """
-
-from functools import partial
 
 import pytest
 
@@ -40,17 +39,20 @@ class TestShardedOracle:
         assert report.equivalent, report.summary()
 
     def test_planted_misroute_is_caught(self):
-        report = diff_sharded_single(
-            seed=0,
-            service_factory=partial(
-                MisroutingService, victim="artifact-0000", after=5
-            ),
-        )
-        assert not report.equivalent
-        assert "sharded_vs_single" in report.summary()
-        # The victim's sessions now live on two shards, and the sharded trail
-        # keeps one copy whose first session holds a single observation: its
-        # summary row at step 1 meets the reference's second observation.
-        assert report.divergence.step == 1
-        assert report.divergence.field == "centroid"
-        assert report.length_mismatch == (158, 189)
+        built = []
+
+        def misrouting(*args, **kwargs):
+            built.append(MisroutingService(
+                *args, victim="artifact-0000", after=5, **kwargs
+            ))
+            return built[-1]
+
+        # The victim's sessions now live on two shards: the sharded trail
+        # refuses to pick one copy.
+        with pytest.raises(RuntimeError, match="hosted on both") as exc_info:
+            diff_sharded_single(seed=0, service_factory=misrouting)
+        message = str(exc_info.value)
+        service = built[0]
+        assert "artifact-0000" in message
+        assert service.ring.owner("artifact-0000") in message
+        assert service.wrong_shard in message
