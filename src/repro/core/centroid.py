@@ -121,6 +121,12 @@ class CentroidLearning(Optimizer):
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         if alpha_decay < 0:
             raise ValueError(f"alpha_decay must be >= 0, got {alpha_decay}")
+        # Checked here, once, for every engine: the batched draws of
+        # lock-step and the shard drains do not check again.
+        if not 0 < beta <= 1:
+            raise ValueError(f"beta must be in (0, 1], got {beta}")
+        if n_candidates < 1:
+            raise ValueError("n_candidates must be >= 1")
         if gradient_mode not in ("ml", "linear"):
             raise ValueError(f"gradient_mode must be 'ml' or 'linear', got {gradient_mode!r}")
         if min_update_observations < 2:

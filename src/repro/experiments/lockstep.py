@@ -18,6 +18,8 @@ sequentially.  The ingredients:
 * per-session RNG streams — each session draws candidates, cold-start
   choices and observation noise from its own optimizer/simulator
   generators, in the same order as the sequential loop;
+* :func:`repro.core.candidates.draw_candidates`, step β for every active
+  session in one call, whose row *k* is bitwise the scalar draw;
 * :mod:`repro.core.batched_step`, whose row *k* is bitwise the scalar
   ``CentroidLearning`` arithmetic, and the guardrail's :func:`ols_predict`;
 * the per-config ``data_scales`` path of
@@ -64,6 +66,7 @@ from ..core.batched_step import (
     fit_window_models,
     window_means,
 )
+from ..core.candidates import draw_candidates
 from ..core.centroid import CentroidLearning
 from ..core.guardrail import Guardrail, GuardrailDecision
 from ..core.observation import Observation
@@ -204,9 +207,6 @@ class LockstepSessions:
         u = self._u
         self.space = opts[0].space
         self.dim = self.space.dim
-        self._lb = u.profile.bounds_low
-        self._ub = u.profile.bounds_high
-        self._span = u.profile.span
         self._default = self.space.default_vector()
 
         # Per-session scalar hyperparameters (allowed to vary).
@@ -215,7 +215,7 @@ class LockstepSessions:
         self._betas = np.array([o.beta for o in opts])
         self._rngs = [o._rng for o in opts]
         # Prebound per-session callables: the per-step Python floor is one
-        # raw-double draw plus one observe_true call per session, so shaving
+        # candidate draw plus one observe_true call per session, so shaving
         # the attribute lookups off both is worth it at K=256.
         self._randoms = [rng.random for rng in self._rngs]
         self._unit_scales = np.ones(self.k)
@@ -460,7 +460,6 @@ class LockstepSessions:
         self._ensure_capacity(t + 1)
         u = self._u
         k_total = self.k
-        dim = self.dim
 
         # 1. Input-size dynamics: per-session data scale and the compile-time
         #    cardinality estimate the selector scores against.
@@ -469,7 +468,7 @@ class LockstepSessions:
         # 2. Suggest: guardrail-disabled sessions pin the default vector
         #    (consuming no randomness); active sessions draw β-neighborhood
         #    candidates from their own RNGs and score them in one batch.
-        vectors = np.empty((k_total, dim))
+        vectors = np.empty((k_total, self.dim))
         if self._grs is not None:
             active = ~self._grs.disabled
         else:
@@ -481,27 +480,12 @@ class LockstepSessions:
             vectors[~active] = self._default
         if act.size:
             telemetry.counter("centroid.suggests", mode="tuning").inc(act.size)
-            cents = np.clip(self._centroids[act], self._lb, self._ub)
-            low = np.maximum(cents - self._betas[act, None] * self._span, self._lb)
-            high = np.minimum(cents + self._betas[act, None] * self._span, self._ub)
-            m = u.n_candidates
-            cands = np.empty((act.size, m, dim))
-            cands[:, 0, :] = cents
-            if m > 1:
-                # Generator.uniform(low, high, size) with array bounds is
-                # exactly ``low + (high - low) * next_double`` per element
-                # (verified bitwise), so draw the raw doubles per session —
-                # same stream consumption — and apply the affine map in one
-                # vectorized op across sessions.
-                draws = np.empty((act.size, m - 1, dim))
-                shape = (m - 1, dim)
-                randoms = self._randoms
-                for j, k in enumerate(act):
-                    draws[j] = randoms[k](shape)
-                cands[:, 1:, :] = (
-                    low[:, None, :]
-                    + np.subtract(high, low)[:, None, :] * draws
-                )
+            m, p = u.n_candidates, u.profile
+            cands = draw_candidates(
+                self._centroids[act], self._betas[act], m,
+                [self._randoms[k] for k in act],
+                p.bounds_low, p.bounds_high, p.span,
+            )
             n_w = min(t, u.window_size)
             if n_w < u.sel_min_obs:
                 # Cold start: uniform choice from each session's RNG.
@@ -512,9 +496,7 @@ class LockstepSessions:
                     self._models_for(act, version=t), cands, est_sizes[act]
                 )
                 best = np.min(self._perfs[act, t - n_w : t], axis=1)
-                scores = acquisition_scores(
-                    u.profile.acquisition, mean, best[:, None]
-                )
+                scores = acquisition_scores(p.acquisition, mean, best[:, None])
                 chosen = np.argmax(scores, axis=1)
                 vectors[act] = cands[np.arange(act.size), chosen]
         self._vectors[:, t] = vectors

@@ -2,10 +2,14 @@
 
 A shard drain hands this module a *run* of requests touching pairwise
 distinct sessions.  The window-model fits, candidate scoring and Alg.-1
-update are :mod:`repro.core.batched_step`, the kernel the lock-step engine
-calls too; this module keeps the per-session work around it:
+update are :mod:`repro.core.batched_step`, and step β is
+:func:`repro.core.candidates.draw_candidates` — the kernels the lock-step
+engine calls too; this module keeps the per-session work around them:
 
 * routing a run into an observe phase and a suggest phase;
+* drawing every tuning session's candidates with one kernel call per draw
+  group (one space, one candidate count; betas may differ), then each
+  cold-start session's own index draw;
 * gathering windows, and stacking only sessions with one window (or
   candidate-set) length and one :attr:`BatchProfile.key` — each session's
   own acquisition then scores its row, since acquisitions are elementwise;
@@ -42,7 +46,7 @@ from ..core.batched_step import (
     stack_models,
     window_means,
 )
-from ..core.candidates import generate_candidates
+from ..core.candidates import draw_candidates
 from ..core.observation import ObservationWindow
 from ..core.optimizer_base import Optimizer
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
@@ -150,24 +154,52 @@ def _finish_suggest(request, candidates: np.ndarray, index: int) -> None:
     request.result = candidates[index]
 
 
+def _draw(sessions: Sequence[TenantSession]) -> List[np.ndarray]:
+    """Step β for tuning sessions: one kernel call per draw group — one
+    space (the profile's shared geometry arrays) and one candidate count;
+    betas may differ."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, session in enumerate(sessions):
+        key = (id(session.batch_profile.span), session.optimizer.n_candidates)
+        groups.setdefault(key, []).append(i)
+    candidates: list = [None] * len(sessions)
+    for members in groups.values():
+        opts = [sessions[i].optimizer for i in members]
+        profile = sessions[members[0]].batch_profile
+        drawn = draw_candidates(
+            np.array([opt._centroid for opt in opts]),
+            np.array([opt.beta for opt in opts]),
+            opts[0].n_candidates,
+            [opt._rng.random for opt in opts],
+            profile.bounds_low, profile.bounds_high, profile.span,
+        )
+        for row, i in enumerate(members):
+            candidates[i] = drawn[row]
+    return candidates
+
+
 def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
-    warm: List[Tuple[TenantSession, object, np.ndarray, float]] = []
+    tuning: List[Tuple[TenantSession, object]] = []
     for session, request in items:
         session.requests += 1
         opt = session.optimizer
-        if not opt.tuning_active:
+        if opt.tuning_active:
+            tuning.append((session, request))
+        else:
             telemetry.counter("centroid.suggests", mode="default").inc()
             request.result = opt.space.default_vector()
-            continue
-        data_size = 1.0 if request.data_size is None else float(request.data_size)
-        candidates = generate_candidates(
-            opt.space, opt._centroid, opt.beta, opt.n_candidates, opt._rng
-        )
+    if not tuning:
+        return
+    drawn = _draw([session for session, _ in tuning])
+    warm: List[Tuple[TenantSession, object, np.ndarray, float]] = []
+    for (session, request), candidates in zip(tuning, drawn):
+        opt = session.optimizer
         if len(opt.observations.window) < opt.selector.min_observations:
             # Cold start without a baseline: explore the neighborhood.
             index = int(opt._rng.integers(0, len(candidates)))
             _finish_suggest(request, candidates, index)
         else:
+            data_size = 1.0 if request.data_size is None else float(request.data_size)
             warm.append((session, request, candidates, data_size))
     if not warm:
         return

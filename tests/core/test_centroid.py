@@ -45,6 +45,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             CentroidLearning(synthetic_space(), min_update_observations=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta": 1.5}, r"beta must be in \(0, 1\]"),
+        ({"beta": 0.0}, r"beta must be in \(0, 1\]"),
+        ({"beta": -0.1}, r"beta must be in \(0, 1\]"),
+        ({"beta": float("nan")}, r"beta must be in \(0, 1\]"),
+        ({"n_candidates": 0}, "n_candidates must be >= 1"),
+    ], ids=["beta=1.5", "beta=0", "beta=-0.1", "beta=nan", "n_candidates=0"])
+    def test_step_beta_settings_checked_at_construction(self, kwargs, message):
+        # Every engine's candidate draw trusts these two values.
+        with pytest.raises(ValueError, match=message):
+            CentroidLearning(synthetic_space(), **kwargs)
+
 
 class TestSuggest:
     def test_suggestions_in_bounds(self, objective, rng):

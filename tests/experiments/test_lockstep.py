@@ -215,6 +215,23 @@ class TestValidation:
         with pytest.raises(LockstepCompatibilityError, match=reason):
             LockstepSessions(specs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta": 1.5}, r"beta must be in \(0, 1\]"),
+        ({"beta": 0.0}, r"beta must be in \(0, 1\]"),
+        ({"beta": -0.1}, r"beta must be in \(0, 1\]"),
+        ({"beta": float("nan")}, r"beta must be in \(0, 1\]"),
+        ({"n_candidates": 0}, "n_candidates must be >= 1"),
+    ], ids=["beta=1.5", "beta=0", "beta=-0.1", "beta=nan", "n_candidates=0"])
+    def test_rejects_bad_step_beta_settings(self, kwargs, message):
+        # The population's candidate draw is one unchecked kernel call, so
+        # a bad value must be refused before the first step.
+        with pytest.raises(ValueError, match=message):
+            LockstepSessions([SessionSpec(
+                plan=tpch_plan(3),
+                simulator=SparkSimulator(noise=no_noise(), seed=0),
+                optimizer=CentroidLearning(query_level_space(), seed=0, **kwargs),
+            )]).run(5)
+
     def test_rejects_mixed_guardrail_presence(self):
         specs = mixed_population()[:2]
         specs[1].optimizer = CentroidLearning(query_level_space(), seed=1)

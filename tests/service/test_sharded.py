@@ -7,6 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.batched_step import BatchProfile, batch_profile_for
+from repro.core.candidates import draw_candidates
 from repro.core.centroid import CentroidLearning, default_window_model_factory
 from repro.core.config_space import ConfigSpace, Parameter
 from repro.core.find_best import FindBestMode
@@ -21,6 +22,7 @@ from repro.ml.acquisition import (
 )
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
+from repro.service import batch_exec
 from repro.service.admission import Priority, ShedError
 from repro.service.sharded import ShardedAutotuneService, TuneRequest
 from repro.sparksim.configs import query_level_space
@@ -76,6 +78,16 @@ def mixed_spaces_factory(workload_id: str, signature: str) -> CentroidLearning:
     return CentroidLearning(space, seed=seed_of(workload_id, signature))
 
 
+def mixed_draws_factory(workload_id: str, signature: str) -> CentroidLearning:
+    """Alternates beta and the candidate count by workload, so one drain run
+    splits into two draw groups, each holding both betas."""
+    i = int(workload_id[-1])
+    return CentroidLearning(
+        SPACE, beta=(0.05, 0.2)[i % 2], n_candidates=(12, 20)[i // 2 % 2],
+        seed=seed_of(workload_id, signature),
+    )
+
+
 def _selector(**kwargs):
     return {"selector": SurrogateSelector(default_window_model_factory, **kwargs)}
 
@@ -114,6 +126,7 @@ FACTORIES = {
     "guarded": guarded_factory,
     "mixed": mixed_factory,
     "mixed_spaces": mixed_spaces_factory,
+    "mixed_draws": mixed_draws_factory,
     "all_shapes": all_shapes_factory,
     **{shape: shaped_factory(shape) for shape in SHAPES},
 }
@@ -294,6 +307,44 @@ class TestBatchedDrainEquivalence:
         # The scalar reference probes nothing.
         ref_shard = reference.metrics()["service"]["shards"]["shard-0"]
         assert ref_shard["batched_sessions"] == ref_shard["fallback_sessions"] == 0
+
+
+class TestCandidateDraws:
+    @pytest.mark.parametrize("factory, n_groups", [
+        ("plain", 1), ("mixed_draws", 2), ("mixed_spaces", 2),
+    ])
+    def test_one_kernel_call_per_draw_group(self, monkeypatch, factory, n_groups):
+        calls = []
+
+        def counting(centroids, *args):
+            calls.append(len(centroids))
+            return draw_candidates(centroids, *args)
+
+        monkeypatch.setattr(batch_exec, "draw_candidates", counting)
+        service = ShardedAutotuneService(1, FACTORIES[factory], queue_capacity=64)
+        for w in WORKLOADS:
+            assert service.submit(TuneRequest.suggest(w, f"{w}/q0")).accepted
+        service.drain_all()  # one run: every session is distinct
+        assert len(calls) == n_groups
+        assert sum(calls) == len(WORKLOADS)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"beta": 1.5}, r"beta must be in \(0, 1\]"),
+        ({"beta": 0.0}, r"beta must be in \(0, 1\]"),
+        ({"beta": -0.1}, r"beta must be in \(0, 1\]"),
+        ({"beta": float("nan")}, r"beta must be in \(0, 1\]"),
+        ({"n_candidates": 0}, "n_candidates must be >= 1"),
+    ], ids=["beta=1.5", "beta=0", "beta=-0.1", "beta=nan", "n_candidates=0"])
+    def test_drain_rejects_bad_step_beta_settings(self, kwargs, message):
+        def factory(workload_id, signature):
+            return CentroidLearning(
+                SPACE, seed=seed_of(workload_id, signature), **kwargs
+            )
+
+        service = ShardedAutotuneService(2, factory, queue_capacity=64)
+        assert service.submit(TuneRequest.suggest("w", "w/q0")).accepted
+        with pytest.raises(ValueError, match=message):
+            service.drain_all()
 
 
 def _exploding_factory():
