@@ -18,8 +18,9 @@ of N interpreter passes.  Three ingredients live here:
 
 Everything here is derived data; the arithmetic that turns it into seconds
 stays in :mod:`repro.sparksim.cost_model` next to the scalar kernel
-(``CostModel.estimate``) it mirrors; single-configuration callers use
-``estimate`` and never build these structures.
+(``CostModel.estimate``) it mirrors.  Single-configuration callers, drifting
+runs included, use ``estimate``, which takes the data scale itself and
+builds neither these structures nor a scaled plan.
 """
 
 from __future__ import annotations
@@ -73,13 +74,15 @@ class PlanArrays:
     join_probe_rows: np.ndarray   # (n_ops,) probe-side rows for joins, 0 otherwise
     total_leaf_cardinality: float
     total_input_bytes: float
-    # Join-side components, kept separate so a *per-config* data-scale sweep
-    # can recompute build/probe inputs in the exact scalar multiplication
-    # order ``(rows * scale) * row_bytes`` (see CostModel.estimate_batch's
-    # ``data_scales``): build-side output rows, build-side row width, and a
-    # degenerate-single-input-join mask.
-    join_build_rows: Optional[np.ndarray] = None
-    join_build_row_bytes: Optional[np.ndarray] = None
+    # Join inputs for a *per-config* data-scale sweep (see
+    # CostModel.estimate_batch's ``data_scales``), which must pick build and
+    # probe sides row by row: two inputs that tie at one scale can order
+    # either way at another once ``(rows * scale) * row_bytes`` rounds.
+    # Per operator, every child's output rows and row width in
+    # ``op.children`` order (empty unless a join has two or more inputs),
+    # and a degenerate-single-input-join mask.
+    join_child_rows: Tuple[np.ndarray, ...] = ()
+    join_child_row_bytes: Tuple[np.ndarray, ...] = ()
     join_degenerate: Optional[np.ndarray] = None
 
     @property
@@ -97,8 +100,9 @@ class PlanArrays:
         row_bytes = np.empty(n)
         build_bytes = np.zeros(n)
         probe_rows = np.zeros(n)
-        join_build_rows = np.zeros(n)
-        join_build_row_bytes = np.zeros(n)
+        no_children = np.zeros(0)
+        join_child_rows = [no_children] * n
+        join_child_row_bytes = [no_children] * n
         join_degenerate = np.zeros(n, dtype=bool)
         op_ids: List[int] = []
         op_types: List[str] = []
@@ -114,17 +118,18 @@ class PlanArrays:
             if op.op_type == OpType.JOIN:
                 children = [plan.operator(c) for c in op.children]
                 if len(children) >= 2:
-                    # Build/probe selection is invariant under uniform
-                    # scaling (sorted() is stable on ties), so resolving it
-                    # here once matches the scalar per-call resolution.
+                    # The same stable sort on the same scaled bytes as the
+                    # scalar kernel at this plan's one scale.
                     sides = sorted(
                         children, key=lambda c: (c.est_rows_out * data_scale) * c.row_bytes
                     )
                     build, probe = sides[0], sides[-1]
                     build_bytes[i] = (build.est_rows_out * data_scale) * build.row_bytes
                     probe_rows[i] = probe.est_rows_out * data_scale
-                    join_build_rows[i] = build.est_rows_out * data_scale
-                    join_build_row_bytes[i] = build.row_bytes
+                    join_child_rows[i] = np.array(
+                        [c.est_rows_out * data_scale for c in children]
+                    )
+                    join_child_row_bytes[i] = np.array([c.row_bytes for c in children])
                 else:
                     # Self-join / degenerate single-input join: split the input.
                     build_bytes[i] = (rows_in[i] * op.row_bytes) * 0.2
@@ -151,8 +156,8 @@ class PlanArrays:
             join_probe_rows=probe_rows,
             total_leaf_cardinality=leaf_rows,
             total_input_bytes=leaf_bytes,
-            join_build_rows=join_build_rows,
-            join_build_row_bytes=join_build_row_bytes,
+            join_child_rows=tuple(join_child_rows),
+            join_child_row_bytes=tuple(join_child_row_bytes),
             join_degenerate=join_degenerate,
         )
 
@@ -361,7 +366,7 @@ class LayoutArrays:
     """Per-config executor-layout columns (scalars when uniform)."""
 
     executors: Column
-    total_cores: Column            # clamped to >= 1, as the scalar kernels do
+    total_cores: Column            # clamped to >= 1, as the scalar kernel does
     memory_gb_per_executor: Column
     memory_gb_per_core: Column
     offheap_positive: Union[np.ndarray, bool]

@@ -17,10 +17,12 @@ Each knob therefore has a convex response with a query-dependent optimum,
 exactly the structure the Centroid Learning algorithm assumes locally.
 
 Two entry points share these formulas.  :meth:`CostModel.estimate` is the
-scalar kernel, a per-operator loop over one configuration that every
-single-run caller uses.  :meth:`CostModel.estimate_batch` prices N
-configurations at once, replaying the same arithmetic column-wise so that
-row *i* is bitwise ``estimate(plan, configs[i])``.
+scalar kernel, one pass over the operators under one configuration that
+every single-run caller uses; it takes the run's data scale itself, so a
+drifting run prices its plan without building a scaled copy.
+:meth:`CostModel.estimate_batch` prices N configurations at once, replaying
+the same arithmetic column-wise so that row *i* is bitwise
+``estimate(plan, configs[i])``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .. import telemetry
 from .batch import ConfigColumns, LayoutArrays, plan_arrays, resolve_layouts
 from .cluster import ExecutorLayout, GIB, Pool
 from .overlay import StageConfigOverlay, StageOverride
-from .plan import Operator, OpType, PhysicalPlan, check_scale
+from .plan import OpType, PhysicalPlan, check_scale
 
 __all__ = ["CostParameters", "CostBreakdown", "BatchCostBreakdown", "CostModel"]
 
@@ -134,147 +136,6 @@ class CostModel:
     def __init__(self, params: Optional[CostParameters] = None):
         self.params = params or CostParameters()
 
-    # -- primitive cost kernels ---------------------------------------------------
-
-    def _wave_time(self, n_tasks: float, per_task_s: float, total_cores: int) -> float:
-        """Tasks execute in waves of ``total_cores``; time = waves × task time."""
-        waves = math.ceil(max(n_tasks, 1.0) / max(total_cores, 1))
-        return waves * per_task_s
-
-    def _scan_cost(
-        self, op: Operator, config: Mapping[str, float], layout: ExecutorLayout,
-        override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        bytes_total = op.bytes_in
-        if override is not None and override.max_partition_bytes is not None:
-            max_part = float(override.max_partition_bytes)
-        else:
-            max_part = float(config.get("spark.sql.files.maxPartitionBytes", 128 * 1024 * 1024))
-        cores = layout.total_cores
-        if override is not None and override.task_parallelism is not None:
-            cores = min(cores, max(int(override.task_parallelism), 1))
-        n_parts = max(1.0, math.ceil(bytes_total / max(max_part, 1.0)))
-        per_task_bytes = bytes_total / n_parts
-        per_task_s = (
-            per_task_bytes / (self.params.scan_throughput_mb_s * 1e6)
-            + self.params.task_overhead_s
-        )
-        time = self._wave_time(n_parts, per_task_s, cores)
-        time += n_parts * self.params.scheduling_overhead_s
-        return time, {"scan_tasks": n_parts, "scan_bytes": bytes_total}
-
-    def _shuffle_cost(
-        self, rows: float, row_bytes: float, config: Mapping[str, float],
-        layout: ExecutorLayout, override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        data_bytes = rows * row_bytes
-        if override is not None and override.shuffle_partitions is not None:
-            partitions = max(1.0, float(override.shuffle_partitions))
-        else:
-            partitions = max(1.0, float(config.get("spark.sql.shuffle.partitions", 200)))
-        throughput = self.params.shuffle_throughput_mb_s * 1e6
-        if layout.offheap_gb_per_executor > 0:
-            throughput /= self.params.offheap_shuffle_discount  # faster with off-heap
-        codec = str(config.get("spark.io.compression.codec", "lz4"))
-        throughput *= _CODEC_SHUFFLE_FACTOR.get(codec, 1.0)
-        throughput /= _CODEC_CPU_TAX.get(codec, 1.0)
-
-        cores = layout.total_cores
-        if override is not None and override.task_parallelism is not None:
-            cores = min(cores, max(int(override.task_parallelism), 1))
-
-        # Map side: write all data once, fully parallel.
-        write_s = data_bytes / (throughput * cores)
-
-        # Reduce side: the slowest task governs each wave.  Skewed keys make
-        # the hottest partition larger; more partitions dilute the skew.
-        per_task_bytes = data_bytes / partitions
-        straggler = 1.0 + self.params.skew_coefficient * math.sqrt(
-            self.params.skew_reference_partitions / partitions
-        )
-        hot_task_bytes = per_task_bytes * straggler
-
-        # Memory spill: reducers that exceed their memory share hit disk.
-        fraction = self.params.executor_memory_fraction
-        if override is not None and override.memory_fraction is not None:
-            fraction = float(override.memory_fraction)
-        mem_budget = layout.memory_gb_per_core * GIB * fraction
-        spill = 0.0
-        if hot_task_bytes > mem_budget:
-            overflow = hot_task_bytes / mem_budget - 1.0
-            spill = min(self.params.spill_coefficient * overflow, 8.0)
-        per_task_s = (hot_task_bytes / throughput) * (1.0 + spill) + self.params.task_overhead_s
-        read_s = self._wave_time(partitions, per_task_s, cores)
-        sched_s = partitions * self.params.scheduling_overhead_s
-        total = write_s + read_s + sched_s
-        return total, {
-            "shuffle_bytes": data_bytes,
-            "shuffle_partitions": partitions,
-            "spilled": 1.0 if spill > 0 else 0.0,
-        }
-
-    def _cpu_cost(
-        self, rows: float, layout: ExecutorLayout, factor: float = 1.0,
-        config: Optional[Mapping[str, float]] = None,
-    ) -> float:
-        rate = self.params.cpu_rows_per_s
-        if config is not None:
-            serializer = str(config.get("spark.serializer", "java"))
-            rate *= _SERIALIZER_CPU_FACTOR.get(serializer, 1.0)
-        return factor * rows / (rate * max(layout.total_cores, 1))
-
-    def _join_cost(
-        self, op: Operator, plan: PhysicalPlan, config: Mapping[str, float],
-        layout: ExecutorLayout, override: Optional[StageOverride] = None,
-    ) -> Tuple[float, Dict[str, float]]:
-        children = [plan.operator(c) for c in op.children]
-        if len(children) >= 2:
-            sides = sorted(children, key=lambda c: c.bytes_out)
-            build, probe = sides[0], sides[-1]
-            build_bytes, probe_rows = build.bytes_out, probe.est_rows_out
-        else:
-            # Self-join / degenerate single-input join: split the input.
-            build_bytes = op.bytes_in * 0.2
-            probe_rows = op.est_rows_in * 0.8
-
-        threshold = float(
-            config.get("spark.sql.autoBroadcastJoinThreshold", 10 * 1024 * 1024)
-        )
-        metrics: Dict[str, float] = {}
-        if build_bytes <= threshold:
-            # Broadcast hash join: ship the build side to every executor.
-            broadcast_s = (
-                build_bytes * layout.executors
-                / (self.params.network_throughput_mb_s * 1e6)
-            )
-            hash_build_s = self._cpu_cost(build_bytes / max(op.row_bytes, 1.0), layout, 2.0, config)
-            probe_s = self._cpu_cost(probe_rows, layout, 1.5, config)
-            time = broadcast_s + hash_build_s + probe_s
-            # Memory pressure when a large build side is broadcast anyway.
-            mem_budget = (
-                layout.memory_gb_per_executor * GIB
-                * self.params.broadcast_memory_fraction
-            )
-            if build_bytes > mem_budget:
-                pressure = build_bytes / mem_budget
-                time *= 1.0 + min(pressure * pressure, 25.0)
-                metrics["broadcast_memory_pressure"] = pressure
-            metrics["broadcast_joins"] = 1.0
-        else:
-            # Sort-merge join: shuffle both sides on the join key, then merge.
-            # Stage overrides scope to the shuffle terms; the broadcast
-            # branch above has no per-stage knob in the catalog this models.
-            shuffle_s, shuffle_m = self._shuffle_cost(
-                op.est_rows_in, op.row_bytes, config, layout, override
-            )
-            n = max(op.est_rows_in, 2.0)
-            sort_s = self._cpu_cost(n * math.log2(n) / 20.0, layout, 1.0, config)
-            merge_s = self._cpu_cost(op.est_rows_in, layout, 1.2, config)
-            time = shuffle_s + sort_s + merge_s
-            metrics.update(shuffle_m)
-            metrics["sort_merge_joins"] = 1.0
-        return time, metrics
-
     # -- plan-level estimate ---------------------------------------------------------
 
     def estimate(
@@ -283,55 +144,182 @@ class CostModel:
         config: Mapping[str, float],
         layout: Optional[ExecutorLayout] = None,
         overlay: Optional[StageConfigOverlay] = None,
+        data_scale: float = 1.0,
     ) -> CostBreakdown:
         """Noiseless execution-time estimate for ``plan`` under ``config``.
 
         The scalar kernel: one pass over the operators in topological
         order, with the per-operator metrics the simulator reports.  Every
-        single-configuration caller (``SparkSimulator.run`` and
-        ``true_time``, the tuning step) lands here; :meth:`estimate_batch`
-        replays this arithmetic column-wise for N configurations and is
-        pinned bitwise against it (tests/sparksim/test_batch.py).
-        ``overlay`` applies per-stage knob overrides (see
-        ``repro.sparksim.overlay``).
+        single-configuration caller (``SparkSimulator.run``, ``true_time``
+        and ``run_to_event``, the tuning step) lands here;
+        :meth:`estimate_batch` replays this arithmetic column-wise for N
+        configurations and is pinned bitwise against it
+        (tests/sparksim/test_batch.py).  ``overlay`` applies per-stage knob
+        overrides (see ``repro.sparksim.overlay``).
+
+        ``data_scale`` prices the query over a grown or shrunk input
+        without building ``plan.scaled(data_scale)``: each operator's rows
+        are multiplied in that copy's order (rows first, bytes from the
+        scaled rows), so the result is bitwise the estimate of the scaled
+        copy.  Config-, layout- and parameter-derived terms are computed
+        once per call; stage overrides are resolved per operator.
         """
+        if data_scale != 1.0:
+            check_scale(data_scale)
+        p = self.params
         layout = layout or ExecutorLayout.from_config(config)
+        cores = layout.total_cores
+        max_part = max(
+            float(config.get("spark.sql.files.maxPartitionBytes", 128 * 1024 * 1024)), 1.0
+        )
+        partitions = max(1.0, float(config.get("spark.sql.shuffle.partitions", 200)))
+        threshold = float(
+            config.get("spark.sql.autoBroadcastJoinThreshold", 10 * 1024 * 1024)
+        )
+        throughput = p.shuffle_throughput_mb_s * 1e6
+        if layout.offheap_gb_per_executor > 0:
+            throughput /= p.offheap_shuffle_discount  # faster with off-heap
+        codec = str(config.get("spark.io.compression.codec", "lz4"))
+        throughput *= _CODEC_SHUFFLE_FACTOR.get(codec, 1.0)
+        throughput /= _CODEC_CPU_TAX.get(codec, 1.0)
+        serializer = str(config.get("spark.serializer", "java"))
+        cpu_rate_cores = (
+            p.cpu_rows_per_s * _SERIALIZER_CPU_FACTOR.get(serializer, 1.0)
+        ) * max(cores, 1)
+        scan_denom = p.scan_throughput_mb_s * 1e6
+        net_denom = p.network_throughput_mb_s * 1e6
+        memory_per_core = layout.memory_gb_per_core * GIB
+        shuffle_mem_budget = memory_per_core * p.executor_memory_fraction
+        bc_mem_budget = layout.memory_gb_per_executor * GIB * p.broadcast_memory_fraction
+
         per_op: Dict[int, float] = {}
         metrics: Dict[str, float] = {"tasks": 0.0}
-        for op in plan.operators:
-            ov = overlay.get(op.op_id) if overlay is not None else None
-            if op.op_type == OpType.TABLE_SCAN:
-                cost, m = self._scan_cost(op, config, layout, ov)
-                metrics["tasks"] += m.get("scan_tasks", 0.0)
-            elif op.op_type == OpType.EXCHANGE:
-                cost, m = self._shuffle_cost(op.est_rows_in, op.row_bytes, config, layout, ov)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type == OpType.JOIN:
-                cost, m = self._join_cost(op, plan, config, layout, ov)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type == OpType.HASH_AGGREGATE:
-                shuffle_s, m = self._shuffle_cost(
-                    op.est_rows_in * 0.5, op.row_bytes, config, layout, ov
-                )
-                cost = shuffle_s + self._cpu_cost(op.est_rows_in, layout, 1.3, config)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            elif op.op_type in (OpType.SORT, OpType.WINDOW):
-                shuffle_s, m = self._shuffle_cost(op.est_rows_in, op.row_bytes, config, layout, ov)
-                n = max(op.est_rows_in, 2.0)
-                factor = 1.5 if op.op_type == OpType.WINDOW else 1.0
-                cost = shuffle_s + self._cpu_cost(n * math.log2(n) / 25.0, layout, factor, config)
-                metrics["tasks"] += m.get("shuffle_partitions", 0.0)
-            else:  # Filter, Project, Union, Limit — narrow transforms
-                cost = self._cpu_cost(op.est_rows_in, layout, 0.5, config)
-                m = {}
-            per_op[op.op_id] = cost
-            for key, value in m.items():
-                if key not in ("scan_tasks", "shuffle_partitions"):
-                    metrics[key] = metrics.get(key, 0.0) + value
+        get = metrics.get
 
-        total = sum(per_op.values()) + self.params.fixed_query_overhead_s
-        metrics["input_bytes"] = plan.total_input_bytes
-        metrics["input_rows"] = plan.total_leaf_cardinality
+        def shuffle(data_bytes: float, ov: Optional[StageOverride]) -> float:
+            """Seconds of one exchange of ``data_bytes``; adds its metrics.
+
+            The map side writes all data once, fully parallel.  On the
+            reduce side the slowest task governs each wave: skewed keys make
+            the hottest partition larger, more partitions dilute the skew,
+            and reducers that exceed their memory share spill to disk.
+            """
+            parts, c, mem_budget = partitions, cores, shuffle_mem_budget
+            if ov is not None:
+                if ov.shuffle_partitions is not None:
+                    parts = max(1.0, float(ov.shuffle_partitions))
+                if ov.task_parallelism is not None:
+                    c = min(cores, max(int(ov.task_parallelism), 1))
+                if ov.memory_fraction is not None:
+                    mem_budget = memory_per_core * float(ov.memory_fraction)
+            straggler = 1.0 + p.skew_coefficient * math.sqrt(
+                p.skew_reference_partitions / parts
+            )
+            hot_task_bytes = (data_bytes / parts) * straggler
+            spill = 0.0
+            if hot_task_bytes > mem_budget:
+                overflow = hot_task_bytes / mem_budget - 1.0
+                spill = min(p.spill_coefficient * overflow, 8.0)
+            per_task_s = (hot_task_bytes / throughput) * (1.0 + spill) + p.task_overhead_s
+            waves = math.ceil(max(parts, 1.0) / max(c, 1))
+            metrics["tasks"] += parts
+            metrics["shuffle_bytes"] = get("shuffle_bytes", 0.0) + data_bytes
+            metrics["spilled"] = get("spilled", 0.0) + (1.0 if spill > 0 else 0.0)
+            return (
+                data_bytes / (throughput * c) + waves * per_task_s
+                + parts * p.scheduling_overhead_s
+            )
+
+        for op in plan.operators:
+            op_type = op.op_type
+            ov = overlay.get(op.op_id) if overlay is not None else None
+            rows = op.est_rows_in * data_scale
+            row_bytes = op.row_bytes
+            if op_type == OpType.TABLE_SCAN:
+                bytes_total = rows * row_bytes
+                mp, c = max_part, cores
+                if ov is not None:
+                    if ov.max_partition_bytes is not None:
+                        mp = max(float(ov.max_partition_bytes), 1.0)
+                    if ov.task_parallelism is not None:
+                        c = min(cores, max(int(ov.task_parallelism), 1))
+                n_parts = max(1.0, math.ceil(bytes_total / mp))
+                per_task_s = (bytes_total / n_parts) / scan_denom + p.task_overhead_s
+                cost = math.ceil(max(n_parts, 1.0) / max(c, 1)) * per_task_s
+                cost += n_parts * p.scheduling_overhead_s
+                metrics["tasks"] += n_parts
+                metrics["scan_bytes"] = get("scan_bytes", 0.0) + bytes_total
+            elif op_type == OpType.EXCHANGE:
+                cost = shuffle(rows * row_bytes, ov)
+            elif op_type == OpType.JOIN:
+                children = [plan.operator(c) for c in op.children]
+                if len(children) >= 2:
+                    # The smallest input is the build side, the largest the
+                    # probe side; sorted() is stable, so ties keep the
+                    # children's order.
+                    sides = sorted(
+                        children,
+                        key=lambda c: (c.est_rows_out * data_scale) * c.row_bytes,
+                    )
+                    build, probe = sides[0], sides[-1]
+                    build_bytes = (build.est_rows_out * data_scale) * build.row_bytes
+                    probe_rows = probe.est_rows_out * data_scale
+                else:
+                    # Self-join / degenerate single-input join: split the input.
+                    build_bytes = (rows * row_bytes) * 0.2
+                    probe_rows = rows * 0.8
+                if build_bytes <= threshold:
+                    # Broadcast hash join: ship the build side to every
+                    # executor, hash it and probe it.
+                    cost = (
+                        build_bytes * layout.executors / net_denom
+                        + 2.0 * (build_bytes / max(row_bytes, 1.0)) / cpu_rate_cores
+                        + 1.5 * probe_rows / cpu_rate_cores
+                    )
+                    # Memory pressure when a large build side is broadcast anyway.
+                    if build_bytes > bc_mem_budget:
+                        pressure = build_bytes / bc_mem_budget
+                        cost *= 1.0 + min(pressure * pressure, 25.0)
+                        metrics["broadcast_memory_pressure"] = (
+                            get("broadcast_memory_pressure", 0.0) + pressure
+                        )
+                    metrics["broadcast_joins"] = get("broadcast_joins", 0.0) + 1.0
+                else:
+                    # Sort-merge join: shuffle both sides on the join key,
+                    # then merge.  Stage overrides scope to the shuffle
+                    # terms; the broadcast branch above has no per-stage
+                    # knob in the catalog this models.
+                    n = max(rows, 2.0)
+                    cost = (
+                        shuffle(rows * row_bytes, ov)
+                        + (n * math.log2(n) / 20.0) / cpu_rate_cores
+                        + 1.2 * rows / cpu_rate_cores
+                    )
+                    metrics["sort_merge_joins"] = get("sort_merge_joins", 0.0) + 1.0
+            elif op_type == OpType.HASH_AGGREGATE:
+                cost = shuffle((rows * 0.5) * row_bytes, ov) + 1.3 * rows / cpu_rate_cores
+            elif op_type in (OpType.SORT, OpType.WINDOW):
+                n = max(rows, 2.0)
+                factor = 1.5 if op_type == OpType.WINDOW else 1.0
+                cost = (
+                    shuffle(rows * row_bytes, ov)
+                    + factor * (n * math.log2(n) / 25.0) / cpu_rate_cores
+                )
+            else:  # Filter, Project, Union, Limit — narrow transforms
+                cost = 0.5 * rows / cpu_rate_cores
+            per_op[op.op_id] = cost
+
+        total = sum(per_op.values()) + p.fixed_query_overhead_s
+        if data_scale == 1.0:
+            metrics["input_bytes"] = plan.total_input_bytes
+            metrics["input_rows"] = plan.total_leaf_cardinality
+        else:
+            # Leaf sums in leaf order at the scale, as a scaled copy sums them.
+            leaves = plan.leaves
+            metrics["input_bytes"] = float(
+                sum((op.est_rows_in * data_scale) * op.row_bytes for op in leaves)
+            )
+            metrics["input_rows"] = float(sum(op.est_rows_in * data_scale for op in leaves))
         return CostBreakdown(total_seconds=total, per_operator=per_op, metrics=metrics)
 
     # The scalar kernel's former name; the end-to-end benchmark's cost check
@@ -364,8 +352,9 @@ class CostModel:
 
         ``data_scales`` gives every configuration its *own* input scale (an
         ``(N,)`` array): row counts scale per element in the exact
-        multiplication order of ``plan.scaled(s)``, so element *i* is
-        bit-identical to a scalar estimate on ``plan.scaled(data_scales[i])``.
+        multiplication order of ``plan.scaled(s)``, and each join picks its
+        build and probe sides per element, so element *i* is bit-identical
+        to ``estimate(plan, configs[i], data_scale=data_scales[i])``.
         This is what lets the lock-step engine evaluate K sessions with
         heterogeneous data-size drift in one kernel pass.  Mutually
         exclusive with a non-unit ``data_scale`` and with ``breakdown``.
@@ -417,7 +406,7 @@ class CostModel:
 
         Per-operator costs stay a short Python loop (plans have ~10 nodes);
         the N-config axis is pure NumPy.  Arithmetic mirrors the scalar
-        kernels term for term — same association, same evaluation order —
+        kernel term for term — same association, same evaluation order —
         so results match bitwise, not just to tolerance.  When
         ``want_breakdown`` is false only ``total_seconds`` is populated —
         per-operator and metric accumulation (pure bookkeeping, no effect
@@ -452,7 +441,7 @@ class CostModel:
         max_part = np.maximum(max_part_col, 1.0)
         partitions = np.maximum(1.0, partitions_col)
 
-        # Shuffle throughput, same op order as _shuffle_cost: base, optional
+        # Shuffle throughput, same op order as estimate(): base, optional
         # off-heap division, codec multiply, CPU-tax division.
         tp_base = p.shuffle_throughput_mb_s * 1e6
         throughput = (
@@ -495,7 +484,7 @@ class CostModel:
 
         def stage_terms(ov):
             """Per-stage shuffle terms for one override, mirroring the
-            scalar ``_shuffle_cost`` arithmetic order exactly."""
+            scalar ``shuffle`` arithmetic order exactly."""
             if ov.task_parallelism is None:
                 c = cores
             else:
@@ -590,10 +579,21 @@ class CostModel:
                     build_bytes = (rows_in * row_bytes) * 0.2
                     probe_rows = rows_in * 0.8
                 else:
-                    build_bytes = (
-                        arrays.join_build_rows[i] * scales
-                    ) * arrays.join_build_row_bytes[i]
-                    probe_rows = arrays.join_probe_rows[i] * scales
+                    # Sides per row, as the scalar kernel's stable sort picks
+                    # them at that row's scale: the build side brings the
+                    # smallest scaled bytes, and the probe side is the last
+                    # child with the largest (tied children can differ in rows).
+                    sides = zip(arrays.join_child_rows[i], arrays.join_child_row_bytes[i])
+                    child_rows, width = next(sides)
+                    probe_rows = child_rows * scales
+                    build_bytes = probe_bytes = probe_rows * width
+                    for child_rows, width in sides:
+                        rows_s = child_rows * scales
+                        bytes_s = rows_s * width
+                        build_bytes = np.minimum(build_bytes, bytes_s)
+                        later = bytes_s >= probe_bytes
+                        probe_bytes = np.where(later, bytes_s, probe_bytes)
+                        probe_rows = np.where(later, rows_s, probe_rows)
                 is_broadcast = build_bytes <= threshold
                 # Broadcast hash join (computed for every config, selected
                 # by mask — matches the scalar branch arithmetic exactly).

@@ -113,11 +113,8 @@ class SparkSimulator:
         self, plan: PhysicalPlan, config: Mapping[str, float], data_scale: float,
         overlay=None,
     ) -> CostBreakdown:
-        # A scaled copy shares the plan's topology and rebuilds only its
-        # operators, so it is built per run rather than kept.
-        scaled = plan.scaled(data_scale) if data_scale != 1.0 else plan
         layout = ExecutorLayout.from_config(config, self.pool)
-        return self.cost_model.estimate(scaled, config, layout, overlay)
+        return self.cost_model.estimate(plan, config, layout, overlay, data_scale)
 
     def run(
         self,

@@ -10,6 +10,7 @@ from repro.optimizers.random_search import RandomSearch
 from repro.sparksim.configs import query_level_space
 from repro.sparksim.executor import SparkSimulator
 from repro.sparksim.noise import low_noise, no_noise
+from repro.sparksim.plan import PhysicalPlan
 from repro.workloads.dynamics import LinearGrowth
 from repro.workloads.tpch import tpch_plan
 
@@ -79,6 +80,28 @@ class TestTuningSession:
         trace = session.run(3)
         assert trace.data_sizes[1] > trace.data_sizes[0]
         assert trace.data_sizes[2] > trace.data_sizes[1]
+
+    def test_drifting_step_scales_its_plan_once(self, q3_plan, monkeypatch):
+        # The embedding and the size estimate read one scaled copy per step;
+        # the simulator prices the run from the scale without building one.
+        built = []
+        scaled = PhysicalPlan.scaled
+
+        def counting(plan, factor):
+            built.append(factor)
+            return scaled(plan, factor)
+
+        monkeypatch.setattr(PhysicalPlan, "scaled", counting)
+        scales = [1.25 + 0.1 * t for t in range(10)]
+        session = TuningSession(
+            q3_plan,
+            SparkSimulator(noise=no_noise(), seed=0),
+            RandomSearch(query_level_space(), seed=0),
+            embedder=WorkloadEmbedder(),
+            scale_fn=lambda t: scales[t],
+        )
+        session.run(10)
+        assert built == scales
 
     def test_noisy_observed_at_least_true(self, q3_plan):
         space = query_level_space()

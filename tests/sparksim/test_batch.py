@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.faults.injectors import FaultySimulator
@@ -33,6 +35,7 @@ from repro.sparksim.noise import low_noise, no_noise
 from repro.sparksim.plan import Operator, OpType, PhysicalPlan
 from repro.workloads.tpcds import tpcds_plan
 from repro.workloads.tpch import tpch_plan
+from tests.sparksim.test_cost_model import tied_join_plan
 
 
 @pytest.fixture
@@ -184,6 +187,30 @@ class TestGoldenEquivalence:
             assert got.total_seconds == scalar.total_seconds
             assert got.per_operator == scalar.per_operator
             assert got.metrics == scalar.metrics
+
+    @example(rows=6_494_157, ratio=45, width=101, wide_first=True,
+             scales=[1.5942448414759975])
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1_000, 10_000_000), ratio=st.integers(2, 100),
+           width=st.integers(8, 500), wide_first=st.booleans(),
+           scales=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=8))
+    def test_per_row_scales_pick_tied_join_sides_like_estimate(
+        self, rows, ratio, width, wide_first, scales
+    ):
+        # Inputs that tie in bytes at scale 1 can order either way at
+        # another scale; row i must price the sides estimate() picks at
+        # scales[i].  The threshold broadcasts, so the probe rows count.
+        model = CostModel()
+        plan = tied_join_plan(rows, ratio, width, wide_first)
+        config = {"spark.sql.autoBroadcastJoinThreshold": 1e13}
+        batch = model.estimate_batch(
+            plan, [config] * len(scales), data_scales=np.array(scales)
+        )
+        expected = np.array([
+            model.estimate(plan, config, data_scale=scale).total_seconds
+            for scale in scales
+        ])
+        assert batch.tobytes() == expected.tobytes()
 
 
 class TestBatchStructures:

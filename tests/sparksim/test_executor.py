@@ -1,8 +1,6 @@
 """Tests for the SparkSimulator."""
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -81,6 +79,15 @@ class TestScaledRuns:
         with pytest.raises(ValueError, match=match):
             sim.run(q3_plan, config, data_scale=scale)
         with pytest.raises(ValueError, match=match):
+            sim.true_time(q3_plan, config, data_scale=scale)
+        with pytest.raises(ValueError, match=match):
+            sim.run_to_event(
+                q3_plan, config, app_id="app", artifact_id="art", user_id="u",
+                iteration=0, data_scale=scale,
+            )
+        with pytest.raises(ValueError, match=match):
+            sim.cost_model.estimate(q3_plan, config, data_scale=scale)
+        with pytest.raises(ValueError, match=match):
             sim.true_time_batch(q3_plan, [config], data_scale=scale)
         with pytest.raises(ValueError, match=match):
             sim.run_batch(q3_plan, [config], data_scale=scale)
@@ -91,18 +98,17 @@ class TestScaledRuns:
         scaled = PhysicalPlan.scaled
 
         def recording(plan, factor):
-            copy = scaled(plan, factor)
-            built.append(weakref.ref(copy))
-            return copy
+            built.append(factor)
+            return scaled(plan, factor)
 
         monkeypatch.setattr(PhysicalPlan, "scaled", recording)
         sim = SparkSimulator(noise=no_noise(), seed=0)
         config = spark_space.default_dict()
         for i in range(1, 1001):
             sim.run(q3_plan, config, data_scale=1.0 + i / 1000)
-        gc.collect()
-        assert len(built) == 1000
-        assert all(ref() is None for ref in built)
+            sim.true_time(q3_plan, config, data_scale=1.0 + i / 1000)
+        # The cost model applies the scale itself: no run builds a copy.
+        assert built == []
 
     def test_scaled_results_equal_a_scaled_plan(self, q3_plan, spark_space):
         space = spark_space
