@@ -266,6 +266,10 @@ class CentroidLearning(Optimizer):
         index = self.selector.select(
             candidates, self.observations, data_size, embedding, self._rng
         )
+        return self._choose(candidates, index)
+
+    def _choose(self, candidates: np.ndarray, index: int) -> np.ndarray:
+        """Count a tuning suggestion, tag the open span, return the pick."""
         telemetry.counter("centroid.suggests", mode="tuning").inc()
         active = telemetry.current_span()
         active.set_attr("candidate_index", int(index))
@@ -273,6 +277,15 @@ class CentroidLearning(Optimizer):
         return candidates[index]
 
     def observe(self, obs: Observation) -> None:
+        if self._observe_gate(obs):
+            self._update_centroid(obs)
+
+    def _observe_gate(self, obs: Observation) -> bool:
+        """Record ``obs``; say whether the Alg.-1 update runs this step.
+
+        Append, then the switch detector (a detection re-anchors), then the
+        guardrail, then the window check, each skip counted.
+        """
         super().observe(obs)
         if self.switch_detector is not None:
             decision = self.switch_detector.update(
@@ -281,16 +294,16 @@ class CentroidLearning(Optimizer):
             )
             if decision.detected:
                 self._re_anchor(obs, decision)
-                return
+                return False
         if self.guardrail is not None:
             self.guardrail.update(obs)
             if not self.guardrail.active:
                 telemetry.counter("centroid.updates_skipped", reason="guardrail").inc()
-                return
+                return False
         if len(self.observations.window) < self.min_update_observations:
             telemetry.counter("centroid.updates_skipped", reason="window").inc()
-            return
-        self._update_centroid(obs)
+            return False
+        return True
 
     def _re_anchor(self, obs: Observation, decision) -> None:
         """Regime change: reset the window/guardrail, re-seed the centroid.
@@ -363,19 +376,25 @@ class CentroidLearning(Optimizer):
                 new_centroid = c_star * (1.0 - alpha * delta)
             else:
                 new_centroid = c_star - alpha * delta * span
-            before = self._centroid
-            self._centroid = self.space.clip(new_centroid)
-            self._n_updates += 1
-            self._last_gradient = np.asarray(delta, dtype=float)
-            self._last_best = np.asarray(c_star, dtype=float)
-            telemetry.counter("centroid.updates").inc()
-            if telemetry.enabled():
-                move = float(np.linalg.norm(self._centroid - before))
-                telemetry.gauge("centroid.last_move_norm").set(move)
-                tspan.set_attr("n_update", self._n_updates)
-                tspan.set_attr("alpha", alpha)
-                tspan.set_attr("centroid_before", before.tolist())
-                tspan.set_attr("centroid_after", self._centroid.tolist())
-                tspan.set_attr("c_star", self._last_best.tolist())
-                tspan.set_attr("sign_gradient", self._last_gradient.tolist())
-                tspan.set_attr("move_norm", move)
+            self._apply_update(
+                tspan, self.space.clip(new_centroid), c_star, delta, alpha
+            )
+
+    def _apply_update(self, tspan, centroid, c_star, delta, alpha: float) -> None:
+        """Write one Alg.-1 update inside its open ``centroid.update`` span."""
+        before = self._centroid
+        self._centroid = centroid
+        self._n_updates += 1
+        self._last_gradient = np.asarray(delta, dtype=float)
+        self._last_best = np.asarray(c_star, dtype=float)
+        telemetry.counter("centroid.updates").inc()
+        if telemetry.enabled():
+            move = float(np.linalg.norm(self._centroid - before))
+            telemetry.gauge("centroid.last_move_norm").set(move)
+            tspan.set_attr("n_update", self._n_updates)
+            tspan.set_attr("alpha", alpha)
+            tspan.set_attr("centroid_before", before.tolist())
+            tspan.set_attr("centroid_after", self._centroid.tolist())
+            tspan.set_attr("c_star", self._last_best.tolist())
+            tspan.set_attr("sign_gradient", self._last_gradient.tolist())
+            tspan.set_attr("move_norm", move)

@@ -263,9 +263,6 @@ class ConfigSpace:
         bounds = self.internal_bounds
         return rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, self.dim))
 
-    def sample_dict(self, rng: np.random.Generator) -> Dict[str, float]:
-        return self.to_dict(self.sample_vector(rng))
-
     def latin_hypercube(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Latin-hypercube sample of ``n`` internal vectors."""
         unit = np.empty((n, self.dim))

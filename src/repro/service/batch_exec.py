@@ -16,13 +16,15 @@ engine calls too; this module keeps the per-session work around them:
 * the window-model memo at ``window.__dict__["_batched_window_model"]``,
   keyed by the window's append version (the invalidation rule of
   :func:`repro.core.find_best.fit_window_model`): one fit per observation;
-* calling each session's own ``Guardrail.update`` in the scalar order
-  (append, then guardrail, then the window check);
-* each session's RNG draws, spans and counters, in the scalar order.
+* each session's RNG draws and spans, in the scalar order.
 
-So each session's observation/counter trail is bit-identical to
-request-by-request :class:`~repro.service.sessions.TenantSessionHost` calls,
-which the ``diff_sharded_single`` oracle (:mod:`repro.verify.diff`) pins.
+The step's bookkeeping is the session's own
+:class:`~repro.core.centroid.CentroidLearning` code: the observe gate
+(append, then guardrail, then the window check), the suggestion's counter
+and span attributes, and the ``centroid.update`` writes.  So each
+session's observation/counter trail is bit-identical to serving its
+requests one by one through :func:`apply_scalar`, which the
+``diff_sharded_single`` oracle (:mod:`repro.verify.diff`) pins.
 Sessions the kernel's shape rule,
 :func:`repro.core.batched_step.batch_profile_for`, rejects — the one rule
 lock-step applies too, so a switch detector or a safe gate is among the
@@ -48,7 +50,6 @@ from ..core.batched_step import (
 )
 from ..core.candidates import draw_candidates
 from ..core.observation import ObservationWindow
-from ..core.optimizer_base import Optimizer
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
 __all__ = ["BatchProfile", "apply_scalar", "execute_run"]
@@ -128,7 +129,7 @@ def execute_run(
 
 
 def apply_scalar(host: TenantSessionHost, session: TenantSession, request) -> None:
-    """The per-request scalar path (identical to TenantSessionHost calls).
+    """The per-request scalar path: the session's own suggest/observe.
 
     Serves the sessions the batched drain cannot, and every request of a
     ``coalesce=False`` service (the single-backend reference deployment).
@@ -144,14 +145,6 @@ def apply_scalar(host: TenantSessionHost, session: TenantSession, request) -> No
 
 
 # -- suggest: candidates → window-model means → acquisition argmax -----------------
-
-
-def _finish_suggest(request, candidates: np.ndarray, index: int) -> None:
-    telemetry.counter("centroid.suggests", mode="tuning").inc()
-    active = telemetry.current_span()
-    active.set_attr("candidate_index", int(index))
-    active.set_attr("n_candidates", int(len(candidates)))
-    request.result = candidates[index]
 
 
 def _draw(sessions: Sequence[TenantSession]) -> List[np.ndarray]:
@@ -182,12 +175,10 @@ def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
     tuning: List[Tuple[TenantSession, object]] = []
     for session, request in items:
         session.requests += 1
-        opt = session.optimizer
-        if opt.tuning_active:
+        if session.optimizer.tuning_active:
             tuning.append((session, request))
-        else:
-            telemetry.counter("centroid.suggests", mode="default").inc()
-            request.result = opt.space.default_vector()
+        else:  # a disabled session's suggest draws nothing: the default
+            request.result = session.optimizer.suggest()
     if not tuning:
         return
     drawn = _draw([session for session, _ in tuning])
@@ -197,7 +188,7 @@ def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
         if len(opt.observations.window) < opt.selector.min_observations:
             # Cold start without a baseline: explore the neighborhood.
             index = int(opt._rng.integers(0, len(candidates)))
-            _finish_suggest(request, candidates, index)
+            request.result = opt._choose(candidates, index)
         else:
             data_size = 1.0 if request.data_size is None else float(request.data_size)
             warm.append((session, request, candidates, data_size))
@@ -231,7 +222,7 @@ def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
             tspan.set_attr("candidate_scores", np.asarray(scores, dtype=float).tolist())
             tspan.set_attr("candidate_chosen_score", float(scores[chosen]))
             tspan.set_attr("candidate_mean_prediction", float(np.mean(mean)))
-        _finish_suggest(request, candidates, chosen)
+        request.result = opt._choose(candidates, chosen)
 
 
 # -- observe: append → guardrail → window check → fit + Alg.-1 update ------------
@@ -243,16 +234,7 @@ def _run_observes(
     pending: List[Tuple[TenantSession, object]] = []
     for session, request in items:
         session.requests += 1
-        opt = session.optimizer
-        Optimizer.observe(opt, request.observation)  # validate + append
-        if opt.guardrail is not None:
-            opt.guardrail.update(request.observation)
-            if not opt.guardrail.active:
-                telemetry.counter("centroid.updates_skipped", reason="guardrail").inc()
-                continue
-        if len(opt.observations.window) < opt.min_update_observations:
-            telemetry.counter("centroid.updates_skipped", reason="window").inc()
-        else:
+        if session.optimizer._observe_gate(request.observation):
             pending.append((session, request))
     if pending:
         _batched_centroid_updates(pending)
@@ -278,22 +260,6 @@ def _batched_centroid_updates(pending: Sequence[Tuple[TenantSession, object]]) -
             steps[i] = (c_star[row], delta[row], centroid[row], alphas[row])
 
     for (session, request), (c_star, delta, centroid, alpha) in zip(pending, steps):
-        opt = session.optimizer
-        latest = request.observation
-        with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
-            before = opt._centroid
-            opt._centroid = centroid
-            opt._n_updates += 1
-            opt._last_gradient = delta
-            opt._last_best = c_star
-            telemetry.counter("centroid.updates").inc()
-            if telemetry.enabled():
-                move = float(np.linalg.norm(opt._centroid - before))
-                telemetry.gauge("centroid.last_move_norm").set(move)
-                tspan.set_attr("n_update", opt._n_updates)
-                tspan.set_attr("alpha", alpha)
-                tspan.set_attr("centroid_before", before.tolist())
-                tspan.set_attr("centroid_after", opt._centroid.tolist())
-                tspan.set_attr("c_star", opt._last_best.tolist())
-                tspan.set_attr("sign_gradient", opt._last_gradient.tolist())
-                tspan.set_attr("move_norm", move)
+        iteration = request.observation.iteration
+        with telemetry.span("centroid.update", iteration=iteration) as tspan:
+            session.optimizer._apply_update(tspan, centroid, c_star, delta, alpha)

@@ -5,11 +5,11 @@ signature)`` optimizer state *in the service*: the client (or fleet driver)
 sends plain suggest/observe requests and the shard hosts the
 :class:`~repro.core.centroid.CentroidLearning` session that answers them.
 
-:class:`TenantSessionHost` is that per-shard session table.  It is also the
-**reference scalar path**: the sharded service's batched drain
-(:mod:`repro.service.batch_exec`) must be bit-identical to calling
-:meth:`TenantSessionHost.suggest` / :meth:`~TenantSessionHost.observe`
-request-by-request — the ``diff_sharded_single`` oracle pins exactly that.
+:class:`TenantSessionHost` is that per-shard session table.  The requests
+themselves are served by :mod:`repro.service.batch_exec`: its batched drain
+must be bit-identical to its per-request scalar path,
+:func:`~repro.service.batch_exec.apply_scalar` — the
+``diff_sharded_single`` oracle pins exactly that.
 
 When the host is built with an :class:`~repro.service.backend.AutotuneBackend`
 it registers one app per session (``app_id = "<workload>:<signature>"``) and
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..core.observation import Observation
 from ..core.optimizer_base import Optimizer
 from ..sparksim.events import QueryEndEvent
 from .auth import TokenError
@@ -74,7 +73,7 @@ class TenantSession:
 
 
 class TenantSessionHost:
-    """Per-shard session table + the scalar suggest/observe path.
+    """Per-shard session table and its backend event forwarding.
 
     Args:
         shard_id: owning shard's id (labels telemetry; ``"single"`` for the
@@ -130,27 +129,7 @@ class TenantSessionHost:
             user_id=self.user_id_fn(session.workload_id),
         )
 
-    # -- scalar request path -----------------------------------------------------
-
-    def suggest(
-        self, workload_id: str, query_signature: str, data_size: Optional[float] = None
-    ):
-        session = self.session(workload_id, query_signature)
-        session.requests += 1
-        return session.optimizer.suggest(data_size=data_size)
-
-    def observe(
-        self,
-        workload_id: str,
-        query_signature: str,
-        observation: Observation,
-        event: Optional[QueryEndEvent] = None,
-    ) -> None:
-        session = self.session(workload_id, query_signature)
-        session.requests += 1
-        session.optimizer.observe(observation)
-        if event is not None:
-            self.forward_event(session, event)
+    # -- event forwarding --------------------------------------------------------
 
     def forward_event(self, session: TenantSession, event: QueryEndEvent) -> None:
         """Push one observed event through the backend pipeline (if any).

@@ -13,7 +13,6 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Deque, Dict, List
 
 __all__ = ["TelemetryEvent", "EventLog"]
@@ -65,13 +64,3 @@ class EventLog:
         with self._lock:
             self._events.clear()
             self._next_sequence = 0
-
-    def to_jsonl(self, path) -> int:
-        """Write the buffered events to ``path``; returns the line count."""
-        events = self.records
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(event.to_json() + "\n")
-        return len(events)

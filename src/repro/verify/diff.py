@@ -14,43 +14,45 @@ refit vs. incremental       ``GaussianProcessRegressor.update`` tracks a    atol
 live vs. replay             a JSONL-stored trace replays to the live        bitwise
                             observation history and guardrail verdicts,
                             through reordered/duplicated deliveries
-lockstep vs. sequential     ``LockstepSessions`` advances a K-session       bitwise
-                            fleet (noisy, guardrailed, fault-injected)
-                            identically to K independent
-                            ``TuningSession`` loops — records,
-                            observation histories, guardrail verdicts
+lockstep vs. sequential     ``LockstepSessions`` advances a K-session       bitwise,
+                            fleet (noisy, guardrailed, fault-injected)      session
+                            identically to K independent                    trail
+                            ``TuningSession`` loops
 index vs. brute force       ``FlatIndex`` / full-probe ``IVFIndex`` top-k   ids exact,
                             equals an einsum brute-force stable sort over   atol dist
                             the same corpus (dgemm vs. einsum kernels —
                             equal ranking, distances to tolerance)
-armed vs. unarmed detector  a ``TaskSwitchDetector``-armed session on a     bitwise
-                            drift-free stream is indistinguishable from
-                            its detector-free twin — the detector is
+armed vs. unarmed detector  a ``TaskSwitchDetector``-armed session on a     bitwise,
+                            drift-free stream is indistinguishable from     session
+                            its detector-free twin — the detector is        trail
                             inert unless a regime actually changes
-sharded vs. single          a fleet served by the sharded, queue-driven     bitwise
-                            service (consistent-hash routing, batched
-                            shard drains, per-shard backends) leaves
-                            every tenant session's observation trail,
-                            centroid walk, and counter map identical to
-                            the single-backend scalar deployment —
+sharded vs. single          a guardrailed fleet served by the sharded,      bitwise,
+                            queue-driven service (consistent-hash           session
+                            routing, batched shard drains, per-shard        rows +
+                            backends) is indistinguishable from the         requests
+                            single-backend scalar deployment — counters
                             minus ``service.*`` (deployment-shaped)
-pruned vs. frozen full      a ``TuningSession`` over a                      bitwise
-                            ``PrunedSpace`` (kept knobs tuned, dropped
-                            knobs pinned to defaults) is
-                            indistinguishable from the same session
-                            tuning the kept knobs directly with the
-                            dropped knobs frozen in the config dict —
-                            every suggestion, full-space config,
-                            observation, guardrail verdict and
-                            centroid move
+pruned vs. frozen full      a ``TuningSession`` over a ``PrunedSpace``      bitwise,
+                            (kept knobs tuned, dropped knobs pinned to      session
+                            defaults) is indistinguishable from the same    trail
+                            session tuning the kept knobs directly with
+                            the dropped knobs frozen in the config dict
 ==========================  ==============================================  =========
 
-Each driver runs both paths from the same seed, flattens them into *trails*
-(one dict of comparable fields per step), and returns a :class:`DiffReport`
-naming the first divergent step/field.  Where telemetry counters are part of
-the contract the driver captures both sides' counter maps and diffs those
-too, excluding namespaces that legitimately differ between modes (e.g.
-``sparksim.*`` batch-path cache counters).
+Each oracle is two *arms* — closures running one path each from the same
+seed — and a *trail* that flattens an arm's result into rows of comparable
+fields.  :func:`twin_run` runs both arms, each under its own telemetry
+capture, and returns the :class:`DiffReport` naming the first divergent row
+and field; where counters are part of the contract it diffs both arms'
+counter maps too, minus namespaces that legitimately differ between the
+paths (e.g. ``sparksim.*`` batch-path cache counters).
+
+The four oracles over tuning sessions share one trail,
+:func:`session_trail`: one row per iteration across the sessions, then per
+session one row per observation and a summary of the state a step carries
+to the next (centroid, update count, last c* and Δ, re-anchor count, and
+the guardrail's decision log, active flag and reset count).  So every
+session oracle checks the same fields on every engine.
 
 ``run_all`` sweeps all eight drivers — the one command any change can run
 to show "the paths still agree".
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +99,8 @@ __all__ = [
     "diff_switch_inert",
     "diff_trails",
     "run_all",
+    "session_trail",
+    "twin_run",
 ]
 
 
@@ -222,6 +226,112 @@ def diff_trails(
     return report
 
 
+# -- the harness and the session trail ----------------------------------------------
+
+
+Trail = List[Dict[str, object]]
+
+
+def twin_run(
+    name: str,
+    arm_a: Callable[[], object],
+    arm_b: Callable[[], object],
+    trail: Callable[[object], Trail],
+    tolerance: float = 0.0,
+    ignore_counters: Optional[Sequence[str]] = None,
+) -> DiffReport:
+    """Run two arms, each under its own telemetry capture, and diff them.
+
+    Each arm is a zero-argument closure running one path; ``trail``
+    flattens an arm's result into the rows :func:`diff_trails` compares.
+    The two counter maps are diffed minus the ``ignore_counters`` prefixes;
+    ``None`` leaves counters out of the contract.
+    """
+    with telemetry.capture() as cap_a:
+        result_a = arm_a()
+    with telemetry.capture() as cap_b:
+        result_b = arm_b()
+    counted = ignore_counters is not None
+    return diff_trails(
+        name,
+        trail(result_a),
+        trail(result_b),
+        tolerance=tolerance,
+        counters_a=cap_a.counters() if counted else None,
+        counters_b=cap_b.counters() if counted else None,
+        ignore_counter_prefixes=ignore_counters or (),
+    )
+
+
+def session_trail(run) -> Trail:
+    """The shared trail of one tuning-session population's run.
+
+    ``run`` is an arm's ``(traces, optimizers)``: one trace and one
+    :class:`CentroidLearning` per session, in session order.  The rows are
+    one per iteration across the sessions — so a divergence in the run
+    names its iteration — then each session's :func:`_session_rows`.
+    """
+    traces, optimizers = run
+    rows: Trail = [
+        {
+            "config": [r.config for r in records],
+            "observed_seconds": np.array([r.observed_seconds for r in records]),
+            "true_seconds": np.array([r.true_seconds for r in records]),
+            "data_size": np.array([r.data_size for r in records]),
+            "tuning_active": [r.tuning_active for r in records],
+        }
+        for records in zip(*(trace.records for trace in traces))
+    ]
+    for key, optimizer in enumerate(optimizers):
+        rows.extend(_session_rows(key, optimizer))
+    return rows
+
+
+def _session_rows(key, optimizer: CentroidLearning, **extra) -> Trail:
+    """One row per observation, then a summary row of the session's state.
+
+    The summary holds what a step carries to the next: centroid, update
+    count, the last c* and Δ, the re-anchor count and, with a guardrail,
+    its decision log, active flag and reset count.  ``extra`` adds
+    arm-specific summary fields.
+    """
+    rows: Trail = [
+        {
+            "session": key,
+            "index": index,
+            "config": obs.config,
+            "performance": obs.performance,
+            "data_size": obs.data_size,
+            "iteration": obs.iteration,
+        }
+        for index, obs in enumerate(optimizer.observations.history)
+    ]
+    summary = {
+        "session": key,
+        "index": "summary",
+        "centroid": optimizer._centroid,
+        "n_updates": optimizer._n_updates,
+        "last_best": optimizer._last_best,
+        "last_gradient": optimizer._last_gradient,
+        "reanchors": optimizer.reanchor_count,
+        **extra,
+    }
+    guardrail = optimizer.guardrail
+    if guardrail is not None:
+        summary.update(
+            decisions=list(guardrail.decisions),
+            guardrail_active=guardrail.active,
+            guardrail_resets=guardrail.reset_count,
+        )
+    rows.append(summary)
+    return rows
+
+
+def _session_guardrail(cooldown: Optional[int] = None) -> Guardrail:
+    """The guardrail every session-oracle population runs with."""
+    return Guardrail(min_iterations=4, threshold=0.15, patience=2, cooldown=cooldown)
+
+
 # -- driver 1: scalar vs. batch -----------------------------------------------------
 
 
@@ -246,19 +356,19 @@ def diff_scalar_batch(
     noise = noise if noise is not None else low_noise()
     vectors = space.sample_vectors(n_configs, np.random.default_rng(seed))
 
-    sim_scalar = SparkSimulator(noise=noise, seed=seed)
-    sim_batch = SparkSimulator(noise=noise, seed=seed)
-    with telemetry.capture() as cap_scalar:
-        scalar_results = [
-            sim_scalar.run(plan, space.to_dict(v), data_scale=data_scale)
+    def scalar():
+        simulator = SparkSimulator(noise=noise, seed=seed)
+        return [
+            simulator.run(plan, space.to_dict(v), data_scale=data_scale)
             for v in vectors
         ]
-    with telemetry.capture() as cap_batch:
-        batch_results = sim_batch.run_batch(
+
+    def batch():
+        return SparkSimulator(noise=noise, seed=seed).run_batch(
             plan, vectors, space=space, data_scale=data_scale
         )
 
-    def trail(results):
+    def trail(results) -> Trail:
         return [
             {
                 "observed_seconds": r.elapsed_seconds,
@@ -271,13 +381,8 @@ def diff_scalar_batch(
             for r in results
         ]
 
-    return diff_trails(
-        "scalar_vs_batch",
-        trail(scalar_results),
-        trail(batch_results),
-        counters_a=cap_scalar.counters(),
-        counters_b=cap_batch.counters(),
-        ignore_counter_prefixes=("sparksim.",),
+    return twin_run(
+        "scalar_vs_batch", scalar, batch, trail, ignore_counters=("sparksim.",)
     )
 
 
@@ -314,17 +419,28 @@ def diff_refit_incremental(
             optimize_hypers=False,
         )
 
-    incremental = fresh_gp().fit(X[:n_init], y[:n_init])
-    trail_inc, trail_ref = [], []
-    for m in range(n_init, n_points):
-        incremental.update(X[m:m + 1], float(y[m]))
-        mean, std = incremental.predict_with_std(probes)
-        trail_inc.append({"n": m + 1, "mean": mean, "std": std})
-        reference = fresh_gp().fit(X[:m + 1], y[:m + 1])
-        mean_r, std_r = reference.predict_with_std(probes)
-        trail_ref.append({"n": m + 1, "mean": mean_r, "std": std_r})
-    return diff_trails(
-        "refit_vs_incremental", trail_inc, trail_ref, tolerance=tolerance
+    def incremental():
+        gp = fresh_gp().fit(X[:n_init], y[:n_init])
+        predictions = []
+        for m in range(n_init, n_points):
+            gp.update(X[m:m + 1], float(y[m]))
+            predictions.append(gp.predict_with_std(probes))
+        return predictions
+
+    def refit():
+        return [
+            fresh_gp().fit(X[:m + 1], y[:m + 1]).predict_with_std(probes)
+            for m in range(n_init, n_points)
+        ]
+
+    def trail(predictions) -> Trail:
+        return [
+            {"n": n, "mean": mean, "std": std}
+            for n, (mean, std) in enumerate(predictions, n_init + 1)
+        ]
+
+    return twin_run(
+        "refit_vs_incremental", incremental, refit, trail, tolerance=tolerance
     )
 
 
@@ -343,7 +459,9 @@ def diff_live_replay(
     and with a duplicated prefix — and ``replay_artifact`` must canonicalize
     that back to the exact live history.  The guardrail is then re-run over
     the replayed trajectory (``audit_guardrail``) and its full decision
-    trail must match the live guardrail's, verdict for verdict.
+    trail must match the live guardrail's, verdict for verdict.  The replay
+    arm consumes the live arm's events, so this driver diffs its trails
+    directly rather than through :func:`twin_run`.
     """
     plan = tpch_plan(6)
     space = query_level_space()
@@ -387,7 +505,7 @@ def diff_live_replay(
     trajectory = trajectories[plan.signature()]
     audit = audit_guardrail(trajectory, space, guardrail_factory=make_guardrail)
 
-    live_trail = [
+    live_trail: Trail = [
         {
             "iteration": obs.iteration,
             "duration_seconds": obs.performance,
@@ -396,7 +514,7 @@ def diff_live_replay(
         }
         for obs, event in zip(optimizer.observations.history, events)
     ]
-    replay_trail = [
+    replay_trail: Trail = [
         {
             "iteration": e.iteration,
             "duration_seconds": e.duration_seconds,
@@ -405,19 +523,8 @@ def diff_live_replay(
         }
         for e in trajectory.events
     ]
-    live_decisions = optimizer.guardrail.decisions
-    for decisions, trail in (
-        (live_decisions, live_trail), (audit.decisions, replay_trail)
-    ):
-        trail.extend(
-            {
-                "decision_iteration": d.iteration,
-                "predicted_next": d.predicted_next,
-                "previous": d.previous,
-                "violated": d.violated,
-            }
-            for d in decisions
-        )
+    live_trail.append({"decisions": list(optimizer.guardrail.decisions)})
+    replay_trail.append({"decisions": list(audit.decisions)})
     return diff_trails("live_vs_replay", live_trail, replay_trail)
 
 
@@ -438,25 +545,16 @@ def diff_lockstep_sequential(
     pathologies, a guardrail on every session, and every ``fault_every``-th
     session's simulator wrapped in a :class:`FaultySimulator` scheduling
     latency spikes.  Both engines build the population from the same seeds;
-    the trails compare, bitwise:
-
-    - per-iteration trace records across the fleet (config, observed/true
-      seconds, data size, tuning-active flag) — the first divergent *step*
-      names the iteration where lock-step left the sequential trajectory;
-    - each optimizer's synced observation history (what downstream
-      consumers — selectors, guardrails, replay — actually read);
-    - each guardrail's full decision trail and final active flag;
-    - telemetry counters, minus ``sparksim.*`` (the batched estimator path
-      legitimately counts one batch where sequential counts K calls).
+    their :func:`session_trail` rows compare bitwise — the first divergent
+    *step* names the iteration where lock-step left the sequential
+    trajectory, or the session whose synced state differs — and so do the
+    telemetry counters, minus ``sparksim.*`` (the batched estimator path
+    legitimately counts one batch where sequential counts K calls).
 
     ``lockstep_factory`` swaps the engine under test (the sensitivity suite
     passes a deliberately-broken subclass to prove the oracle catches a
     single-session perturbation at the faulting step).
     """
-    guardrail_factory = lambda: Guardrail(
-        min_iterations=4, threshold=0.15, patience=2
-    )
-
     def build_specs():
         population = generate_population(
             n_workloads, seed=seed, pathological_fraction=0.3,
@@ -465,7 +563,7 @@ def diff_lockstep_sequential(
         specs = []
         for i, workload in enumerate(population):
             for spec in workload_specs(
-                workload, seed * 7 + i, guardrail_factory=guardrail_factory
+                workload, seed * 7 + i, guardrail_factory=_session_guardrail
             ):
                 q = len(specs)
                 if fault_every and q % fault_every == 0:
@@ -480,52 +578,18 @@ def diff_lockstep_sequential(
                 specs.append(spec)
         return specs
 
-    with telemetry.capture() as cap_seq:
-        seq_specs = build_specs()
-        seq_traces = run_sequential(seq_specs, n_iterations)
-    with telemetry.capture() as cap_lock:
-        lock_specs = build_specs()
-        engine = (lockstep_factory or LockstepSessions)(lock_specs)
-        lock_traces = engine.run(n_iterations)
+    def sequential():
+        specs = build_specs()
+        return run_sequential(specs, n_iterations), [s.optimizer for s in specs]
 
-    def trail(specs, traces):
-        steps = []
-        for t in range(n_iterations):
-            records = [trace.records[t] for trace in traces]
-            steps.append({
-                "config": [r.config for r in records],
-                "observed_seconds": np.array([r.observed_seconds for r in records]),
-                "true_seconds": np.array([r.true_seconds for r in records]),
-                "data_size": np.array([r.data_size for r in records]),
-                "tuning_active": [r.tuning_active for r in records],
-            })
-        for spec in specs:
-            history = spec.optimizer.observations.history
-            steps.append({
-                "obs_iterations": [o.iteration for o in history],
-                "obs_configs": np.array([o.config for o in history]),
-                "obs_performance": np.array([o.performance for o in history]),
-                "obs_data_size": np.array([o.data_size for o in history]),
-            })
-        for spec in specs:
-            guardrail = spec.optimizer.guardrail
-            steps.append({
-                "decisions": [
-                    (d.iteration, d.predicted_next, d.previous, d.violated)
-                    for d in guardrail.decisions
-                ],
-                "guardrail_active": guardrail.active,
-                "guardrail_resets": guardrail.reset_count,
-            })
-        return steps
+    def lockstep():
+        specs = build_specs()
+        engine = (lockstep_factory or LockstepSessions)(specs)
+        return engine.run(n_iterations), [s.optimizer for s in specs]
 
-    return diff_trails(
-        "lockstep_vs_sequential",
-        trail(seq_specs, seq_traces),
-        trail(lock_specs, lock_traces),
-        counters_a=cap_seq.counters(),
-        counters_b=cap_lock.counters(),
-        ignore_counter_prefixes=("sparksim.",),
+    return twin_run(
+        "lockstep_vs_sequential", sequential, lockstep, session_trail,
+        ignore_counters=("sparksim.",),
     )
 
 
@@ -543,11 +607,11 @@ def diff_switch_inert(
     The task-switch detector must be *inert* when nothing switches: on a
     stationary workload (constant data scale, Eq.-8 noise only) a session
     with a :class:`~repro.core.switch.TaskSwitchDetector` attached must be
-    bitwise identical to the same session without one — every suggestion,
-    observation, guardrail verdict and centroid move.  The detector consumes
-    no RNG and a non-detection changes no optimizer state, so any divergence
-    means the detector fired a false alarm (or mutated state it must not
-    touch).  Counter trails are compared minus ``switch.*`` (the armed side
+    bitwise identical to the same session without one — its whole
+    :func:`session_trail`.  The detector consumes no RNG and a
+    non-detection changes no optimizer state, so any divergence means the
+    detector fired a false alarm (or mutated state it must not touch).
+    Counter trails are compared minus ``switch.*`` (the armed side
     legitimately counts its per-step checks).
 
     ``detector_factory`` (``(session_index) -> TaskSwitchDetector``) swaps
@@ -558,61 +622,27 @@ def diff_switch_inert(
     space = query_level_space()
     factory = detector_factory or (lambda q: TaskSwitchDetector())
 
-    def build_specs(armed: bool):
-        specs = []
-        for q in range(n_sessions):
-            specs.append(SessionSpec(
-                plan=tpch_plan(1 + 2 * q),
-                simulator=SparkSimulator(noise=low_noise(), seed=seed * 101 + q),
-                optimizer=CentroidLearning(
-                    space,
-                    guardrail=Guardrail(
-                        min_iterations=4, threshold=0.15, patience=2
+    def arm(armed: bool):
+        def run():
+            specs = [
+                SessionSpec(
+                    plan=tpch_plan(1 + 2 * q),
+                    simulator=SparkSimulator(noise=low_noise(), seed=seed * 101 + q),
+                    optimizer=CentroidLearning(
+                        space,
+                        guardrail=_session_guardrail(),
+                        seed=seed * 13 + q,
+                        switch_detector=factory(q) if armed else None,
                     ),
-                    seed=seed * 13 + q,
-                    switch_detector=factory(q) if armed else None,
-                ),
-            ))
-        return specs
+                )
+                for q in range(n_sessions)
+            ]
+            return run_sequential(specs, n_iterations), [s.optimizer for s in specs]
+        return run
 
-    with telemetry.capture() as cap_plain:
-        plain_specs = build_specs(armed=False)
-        plain_traces = run_sequential(plain_specs, n_iterations)
-    with telemetry.capture() as cap_armed:
-        armed_specs = build_specs(armed=True)
-        armed_traces = run_sequential(armed_specs, n_iterations)
-
-    def trail(specs, traces):
-        steps = []
-        for t in range(n_iterations):
-            records = [trace.records[t] for trace in traces]
-            steps.append({
-                "config": [r.config for r in records],
-                "observed_seconds": np.array(
-                    [r.observed_seconds for r in records]
-                ),
-                "true_seconds": np.array([r.true_seconds for r in records]),
-                "data_size": np.array([r.data_size for r in records]),
-                "tuning_active": [r.tuning_active for r in records],
-            })
-        for spec in specs:
-            history = spec.optimizer.observations.history
-            steps.append({
-                "obs_iterations": [o.iteration for o in history],
-                "obs_configs": np.array([o.config for o in history]),
-                "obs_performance": np.array([o.performance for o in history]),
-                "reanchors": spec.optimizer.reanchor_count,
-                "guardrail_resets": spec.optimizer.guardrail.reset_count,
-            })
-        return steps
-
-    return diff_trails(
-        "switch_inert",
-        trail(plain_specs, plain_traces),
-        trail(armed_specs, armed_traces),
-        counters_a=cap_plain.counters(),
-        counters_b=cap_armed.counters(),
-        ignore_counter_prefixes=("switch.",),
+    return twin_run(
+        "switch_inert", arm(False), arm(True), session_trail,
+        ignore_counters=("switch.",),
     )
 
 
@@ -642,7 +672,8 @@ def diff_retrieval_bruteforce(
     are compared *squared*: the index recovers them from the norm
     expansion ``sqrt(|q|^2 - score)``, whose cancellation error near zero
     (~``sqrt(eps)·|q|``) dwarfs ``tolerance`` even when the squared
-    distances agree to machine precision.
+    distances agree to machine precision.  One trail covers every
+    ``(metric, index)`` case; each row names its case.
     """
     from ..retrieval.index import FlatIndex, IVFIndex
 
@@ -653,59 +684,45 @@ def diff_retrieval_bruteforce(
     queries = rng.normal(size=(n_queries, dim))
     queries[0] = entries[0]                    # self-query over the duplicates
     ids = np.arange(n_entries)
+    metrics = ("cosine", "euclidean")
 
-    def reference(metric: str):
+    def case_rows(metric: str, kind: str, found_ids, dists) -> Trail:
         if metric == "euclidean":
-            dists = np.linalg.norm(entries[None, :, :] - queries[:, None, :], axis=2)
-        else:
-            dots = np.einsum("nd,qd->qn", entries, queries)
-            norms = np.sqrt(np.einsum("nd,nd->n", entries, entries))
-            qnorms = np.sqrt(np.einsum("qd,qd->q", queries, queries))
-            dists = 1.0 - dots / np.maximum(norms[None, :] * qnorms[:, None], 1e-12)
-        steps = []
-        for row in range(n_queries):
-            order = np.lexsort((ids, dists[row]))[:k]
-            out = dists[row][order]
-            if metric == "euclidean":
-                out = out * out
-            steps.append({"ids": ids[order], "distances": out})
-        return steps
-
-    def indexed(index, metric):
-        got_ids, got_dists = index.search(queries, k)
-        if metric == "euclidean":
-            got_dists = got_dists * got_dists
+            dists = dists * dists
         return [
-            {"ids": got_ids[row], "distances": got_dists[row]}
+            {"case": f"{metric},{kind}", "ids": found_ids[row], "distances": dists[row]}
             for row in range(n_queries)
         ]
 
-    reports = []
-    for metric in ("cosine", "euclidean"):
-        flat = FlatIndex(dim, metric=metric)
-        flat.add(entries)
-        ivf = IVFIndex(dim, n_lists=8, metric=metric, nprobe=8, seed=seed)
-        ivf.add(entries)
-        ref = reference(metric)
-        reports.append(diff_trails(
-            f"retrieval_vs_bruteforce[{metric},flat]", indexed(flat, metric), ref,
-            tolerance=tolerance,
-        ))
-        reports.append(diff_trails(
-            f"retrieval_vs_bruteforce[{metric},ivf]", indexed(ivf, metric), ref,
-            tolerance=tolerance,
-        ))
-    merged = DiffReport(
-        name="retrieval_vs_bruteforce",
-        steps_compared=sum(r.steps_compared for r in reports),
-        tolerance=tolerance,
+    def indexed() -> Trail:
+        rows: Trail = []
+        for metric in metrics:
+            flat = FlatIndex(dim, metric=metric)
+            ivf = IVFIndex(dim, n_lists=8, metric=metric, nprobe=8, seed=seed)
+            for kind, index in (("flat", flat), ("ivf", ivf)):
+                index.add(entries)
+                rows += case_rows(metric, kind, *index.search(queries, k))
+        return rows
+
+    def brute_force() -> Trail:
+        rows: Trail = []
+        for metric in metrics:
+            if metric == "euclidean":
+                dists = np.linalg.norm(entries[None, :, :] - queries[:, None, :], axis=2)
+            else:
+                dots = np.einsum("nd,qd->qn", entries, queries)
+                norms = np.sqrt(np.einsum("nd,nd->n", entries, entries))
+                qnorms = np.sqrt(np.einsum("qd,qd->q", queries, queries))
+                dists = 1.0 - dots / np.maximum(norms[None, :] * qnorms[:, None], 1e-12)
+            order = np.stack([np.lexsort((ids, row))[:k] for row in dists])
+            ranked = np.take_along_axis(dists, order, axis=1)
+            for kind in ("flat", "ivf"):
+                rows += case_rows(metric, kind, ids[order], ranked)
+        return rows
+
+    return twin_run(
+        "retrieval_vs_bruteforce", indexed, brute_force, list, tolerance=tolerance
     )
-    for r in reports:
-        if r.divergence is not None and merged.divergence is None:
-            merged.divergence = r.divergence
-        if r.length_mismatch is not None and merged.length_mismatch is None:
-            merged.length_mismatch = r.length_mismatch
-    return merged
 
 
 # -- driver 7: sharded service vs. single backend -----------------------------------
@@ -725,14 +742,16 @@ def diff_sharded_single(
     once against an ``n_shards``-way :class:`ShardedAutotuneService` with
     batched drains and per-shard backends, and once against the
     single-shard, scalar (``coalesce=False``) reference with one backend.
-    The contract: every tenant session's observation history, centroid
-    walk, update count, and request count — plus the whole telemetry
-    counter map minus ``service.*`` (shard counts, queue stats, and
-    handoffs are deployment-shaped by design) — is **bitwise identical**.
-    This is what makes sharding and request coalescing safe to deploy: a
-    tenant cannot tell how the fleet is sharded.
+    Every session runs the production shape: its own guardrail, with a
+    cooldown so disabled sessions come back on probation.  The contract:
+    every tenant session's rows of :func:`session_trail` plus its request
+    count — and the whole telemetry counter map minus ``service.*`` (shard
+    counts, queue stats, and handoffs are deployment-shaped by design) —
+    are **bitwise identical**.  This is what makes sharding and request
+    coalescing safe to deploy: a tenant cannot tell how the fleet is
+    sharded.
 
-    Each trail step carries a ``session`` field, so a divergence names the
+    Each row carries a ``session`` field, so a divergence names the
     offending tenant session and observation index directly.
 
     ``service_factory`` swaps the sharded arm's service class (the
@@ -747,69 +766,43 @@ def diff_sharded_single(
     )
     from ..service.sharded import ShardedAutotuneService
 
-    def backend_factory(root):
-        def build(shard_id: str) -> AutotuneBackend:
-            return AutotuneBackend(
-                storage=StorageManager(f"{root}/{shard_id}"),
-                issuer=SasTokenIssuer(f"secret-{shard_id}"),
-                query_space=query_level_space(),
-                min_events_for_model=3,
-            )
-        return build
+    def arm(arm_shards: int, coalesce: bool, factory=ShardedAutotuneService):
+        def run():
+            fleet = build_fleet(n_workloads, seed=seed)
+            with tempfile.TemporaryDirectory() as root:
+                service = factory(
+                    arm_shards,
+                    default_optimizer_factory(
+                        fleet, base_seed=seed,
+                        guardrail_factory=lambda: _session_guardrail(cooldown=2),
+                    ),
+                    coalesce=coalesce,
+                    backend_factory=(lambda shard_id: AutotuneBackend(
+                        storage=StorageManager(f"{root}/{shard_id}"),
+                        issuer=SasTokenIssuer(f"secret-{shard_id}"),
+                        query_space=query_level_space(),
+                        min_events_for_model=3,
+                    )) if events else None,
+                    user_id_fn=fleet_user_map(fleet),
+                    queue_capacity=max(4096, 4 * len(fleet)),
+                )
+                run_fleet(service, fleet, n_iterations, events=events)
+            return service
+        return run
 
-    def run_arm(root, arm_shards, coalesce, factory=ShardedAutotuneService):
-        fleet = build_fleet(n_workloads, seed=seed)
-        service = factory(
-            arm_shards,
-            default_optimizer_factory(fleet, base_seed=seed),
-            coalesce=coalesce,
-            backend_factory=backend_factory(root) if events else None,
-            user_id_fn=fleet_user_map(fleet),
-            queue_capacity=max(4096, 4 * len(fleet)),
-        )
-        with telemetry.capture() as cap:
-            run_fleet(service, fleet, n_iterations, events=events)
-        return service, cap
+    def trail(service) -> Trail:
+        rows: Trail = []
+        for key, session in sorted(service.sessions().items()):
+            rows += _session_rows(key, session.optimizer, requests=session.requests)
+        return rows
 
-    def trail(service):
-        steps = []
-        sessions = service.sessions()
-        for key in sorted(sessions):
-            session = sessions[key]
-            optimizer = session.optimizer
-            for index, obs in enumerate(optimizer.observations.history):
-                steps.append({
-                    "session": key,
-                    "index": index,
-                    "config": obs.config,
-                    "performance": obs.performance,
-                    "data_size": obs.data_size,
-                    "iteration": obs.iteration,
-                })
-            steps.append({
-                "session": key,
-                "index": "summary",
-                "centroid": optimizer._centroid,
-                "n_updates": optimizer._n_updates,
-                "requests": session.requests,
-            })
-        return steps
-
-    with tempfile.TemporaryDirectory() as root_sharded, \
-            tempfile.TemporaryDirectory() as root_single:
-        sharded, cap_sharded = run_arm(
-            root_sharded, n_shards, coalesce=True,
-            factory=service_factory or ShardedAutotuneService,
-        )
-        single, cap_single = run_arm(root_single, 1, coalesce=False)
-        return diff_trails(
-            "sharded_vs_single",
-            trail(sharded),
-            trail(single),
-            counters_a=cap_sharded.counters(),
-            counters_b=cap_single.counters(),
-            ignore_counter_prefixes=("service.",),
-        )
+    return twin_run(
+        "sharded_vs_single",
+        arm(n_shards, True, service_factory or ShardedAutotuneService),
+        arm(1, False),
+        trail,
+        ignore_counters=("service.",),
+    )
 
 
 # -- driver 8: pruned subspace vs. frozen full space --------------------------------
@@ -859,10 +852,11 @@ def diff_pruned_full(
     space, with the dropped knobs' natural defaults merged into every
     config dict by an independent code path.  Both optimizers see
     identical kept-knob spaces, so their RNG streams align; the contract
-    is that every materialized full-space config, observation, guardrail
-    verdict and centroid move matches bitwise.  Any decode misalignment —
-    a pruned knob silently unpinned, a kept coordinate perturbed — breaks
-    the config dict at the first step it materializes.
+    is that the whole :func:`session_trail` — every materialized
+    full-space config, observation, guardrail verdict and centroid move —
+    and every counter match bitwise.  Any decode misalignment — a pruned
+    knob silently unpinned, a kept coordinate perturbed — breaks the
+    config dict at the first step it materializes.
 
     ``pruned_space_factory`` (``(full_space, keep) -> PrunedSpace``) swaps
     arm A's space — the sensitivity suite passes a subclass that silently
@@ -887,53 +881,20 @@ def diff_pruned_full(
     pruned = factory(space, keep)
     frozen = _FrozenFullSpace(space, keep, pruned.pinned_dict())
 
-    def run_arm(arm_space):
-        simulator = SparkSimulator(noise=low_noise(), seed=seed * 101 + 1)
-        optimizer = CentroidLearning(
-            arm_space, window_size=8, seed=seed * 13 + 7,
-            guardrail=Guardrail(min_iterations=4, threshold=0.15, patience=2),
-        )
-        session = TuningSession(plan, simulator, optimizer)
-        with telemetry.capture() as cap:
-            trace = session.run(n_iterations)
-        return optimizer, trace, cap
+    def arm(arm_space):
+        def run():
+            optimizer = CentroidLearning(
+                arm_space, window_size=8, seed=seed * 13 + 7,
+                guardrail=_session_guardrail(),
+            )
+            simulator = SparkSimulator(noise=low_noise(), seed=seed * 101 + 1)
+            trace = TuningSession(plan, simulator, optimizer).run(n_iterations)
+            return [trace], [optimizer]
+        return run
 
-    def trail(optimizer, trace):
-        steps = [
-            {
-                "config": r.config,
-                "observed_seconds": r.observed_seconds,
-                "true_seconds": r.true_seconds,
-                "data_size": r.data_size,
-                "tuning_active": r.tuning_active,
-            }
-            for r in trace.records
-        ]
-        history = optimizer.observations.history
-        steps.append({
-            "obs_iterations": [o.iteration for o in history],
-            "obs_configs": np.array([o.config for o in history]),
-            "obs_performance": np.array([o.performance for o in history]),
-        })
-        steps.append({
-            "centroid": optimizer._centroid,
-            "n_updates": optimizer._n_updates,
-            "decisions": [
-                (d.iteration, d.predicted_next, d.previous, d.violated)
-                for d in optimizer.guardrail.decisions
-            ],
-            "guardrail_active": optimizer.guardrail.active,
-        })
-        return steps
-
-    opt_pruned, trace_pruned, cap_pruned = run_arm(pruned)
-    opt_frozen, trace_frozen, cap_frozen = run_arm(frozen)
-    return diff_trails(
-        "pruned_vs_full",
-        trail(opt_pruned, trace_pruned),
-        trail(opt_frozen, trace_frozen),
-        counters_a=cap_pruned.counters(),
-        counters_b=cap_frozen.counters(),
+    return twin_run(
+        "pruned_vs_full", arm(pruned), arm(frozen), session_trail,
+        ignore_counters=(),
     )
 
 

@@ -131,6 +131,43 @@ class TestDeliberateBugIsCaught:
         assert report.divergence.field == "config"
         assert "NOT equivalent" in report.summary()
 
+    # The lock-step engine writes its arrays back into the optimizer objects
+    # in _sync_state; a write-back bug leaves every trace record right and
+    # shows only in the session trail's summary rows.  With 10 iterations
+    # the trail holds 10 iteration rows, then per session 10 observation
+    # rows and one summary row: session 0's summary is row 20, session 1's
+    # row 31.
+    def test_short_update_count_write_back_caught_at_summary_row(self):
+        class ShortUpdateCount(LockstepSessions):
+            def _sync_state(self):
+                super()._sync_state()
+                self._opts[0]._n_updates -= 1
+
+        report = diff_lockstep_sequential(
+            seed=0, n_workloads=6, n_iterations=10, fault_every=3,
+            lockstep_factory=ShortUpdateCount,
+        )
+        assert not report.equivalent
+        assert report.divergence is not None
+        assert report.divergence.step == 20
+        assert report.divergence.field == "n_updates"
+        assert report.divergence.lhs == report.divergence.rhs + 1
+
+    def test_cross_session_last_best_write_back_caught_at_summary_row(self):
+        class LeakyLastBest(LockstepSessions):
+            def _sync_state(self):
+                super()._sync_state()
+                self._opts[1]._last_best = self._opts[0]._last_best
+
+        report = diff_lockstep_sequential(
+            seed=0, n_workloads=6, n_iterations=10, fault_every=3,
+            lockstep_factory=LeakyLastBest,
+        )
+        assert not report.equivalent
+        assert report.divergence is not None
+        assert report.divergence.step == 31
+        assert report.divergence.field == "last_best"
+
     def test_broken_tie_break_in_index_topk_diverges(self, monkeypatch):
         # Drop the deterministic id tie-break: equal-score entries (the
         # planted duplicates) then surface in partition order, which the
