@@ -115,9 +115,11 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     an exact ``StandardScaler → PolynomialFeatures →
     RidgeRegression(fit_intercept=True)`` window model; no switch detector
     and no safe gate (their re-anchors and candidate masks run only in the
-    scalar classes).  Any guardrail passes: the drains call the session's own
-    ``Guardrail.update``, and lock-step adds its own guardrail rules.  Exact
-    types, since a subclass may override what is replayed here.
+    scalar classes).  Any guardrail passes: every engine runs the session's
+    own :class:`~repro.core.guardrail.Guardrail` — the drains call its
+    ``update``, lock-step its two halves around one stacked trend solve (so
+    lock-step alone asks for uniform, non-robust guardrails).  Exact types,
+    since a subclass may override what is replayed here.
 
     The reason is a label, in the order checked: ``"optimizer"``,
     ``"gradient"``, ``"dim"``, ``"selector"``, ``"model"``,

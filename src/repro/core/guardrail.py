@@ -65,15 +65,16 @@ class Guardrail:
         robust: bool = False,
         cooldown: Optional[int] = None,
     ):
-        if min_iterations < 2:
+        # Negated so that NaN, which fails every comparison, is refused.
+        if not min_iterations >= 2:
             raise ValueError("min_iterations must be >= 2")
-        if threshold <= 0:
+        if not threshold > 0:
             raise ValueError("threshold must be > 0")
-        if patience < 1:
+        if not patience >= 1:
             raise ValueError("patience must be >= 1")
-        if fit_window < 3:
+        if not fit_window >= 3:
             raise ValueError("fit_window must be >= 3")
-        if cooldown is not None and cooldown < 1:
+        if cooldown is not None and not cooldown >= 1:
             raise ValueError("cooldown must be >= 1 (or None for permanent)")
         self.min_iterations = min_iterations
         self.threshold = threshold
@@ -120,9 +121,25 @@ class Guardrail:
 
     def update(self, obs: Observation) -> bool:
         """Record an observation and run the check; returns :attr:`active`."""
-        self._iterations.append(float(obs.iteration))
-        self._data_sizes.append(obs.data_size)
-        self._times.append(obs.performance)
+        if self._record(obs.iteration, obs.data_size, obs.performance):
+            with telemetry.span("guardrail.check",
+                                iteration=int(obs.iteration)) as tspan:
+                self._judge(*self._predict(), tspan)
+        return self.active
+
+    # The two halves of update() around the trend solve.  The lock-step
+    # engine calls them directly on every session's guardrail and makes one
+    # stacked ols_predict for all due checks in between.
+
+    def _record(self, iteration: int, data_size: float, time: float) -> bool:
+        """Append an observation and run the cooldown; say whether a check is due.
+
+        A guardrail disabled on entry skips this step's check, even when its
+        cooldown re-enables it here.
+        """
+        self._iterations.append(float(iteration))
+        self._data_sizes.append(data_size)
+        self._times.append(time)
         if self._disabled:
             if self.cooldown is not None:
                 self._since_disable += 1
@@ -135,49 +152,59 @@ class Guardrail:
                     self.reenable_count += 1
                     telemetry.counter("guardrail.reenables").inc()
                     telemetry.emit("guardrail.reenable",
-                                   iteration=int(obs.iteration),
+                                   iteration=int(iteration),
                                    reenable_count=self.reenable_count)
-            return self.active
-        if len(self._times) < self.min_iterations:
-            return self.active
+            return False
+        return len(self._times) >= self.min_iterations
 
-        with telemetry.span("guardrail.check", iteration=int(obs.iteration)) as tspan:
-            predicted_next, predicted_current = self._predict()
-            # Eq.-8 noise only ever inflates observations, so a noisy `previous`
-            # can mask a genuine upward trend; referencing the smaller of the
-            # observation and the model's de-noised current estimate keeps the
-            # check sensitive without firing on healthy queries.
-            previous = min(self._times[-1], predicted_current)
-            violated = predicted_next > previous * (1.0 + self.threshold)
-            self.decisions.append(
-                GuardrailDecision(
-                    iteration=int(self._iterations[-1]),
-                    predicted_next=predicted_next,
-                    previous=previous,
-                    violated=violated,
-                )
+    def _judge(self, predicted_next: float, predicted_current: float,
+               tspan=None) -> None:
+        """Rule on the due check from the trend's predictions at t+1 and t.
+
+        Records the decision and disables tuning after ``patience``
+        consecutive violations; then counts the verdict and tags ``tspan``
+        when given one.
+        """
+        # Eq.-8 noise only ever inflates observations, so a noisy `previous`
+        # can mask a genuine upward trend; referencing the smaller of the
+        # observation and the model's de-noised current estimate keeps the
+        # check sensitive without firing on healthy queries.
+        previous = min(self._times[-1], predicted_current)
+        violated = predicted_next > previous * (1.0 + self.threshold)
+        iteration = int(self._iterations[-1])
+        self.decisions.append(
+            GuardrailDecision(
+                iteration=iteration,
+                predicted_next=predicted_next,
+                previous=previous,
+                violated=violated,
             )
-            telemetry.counter("guardrail.checks").inc()
-            telemetry.counter("guardrail.verdicts",
-                              verdict="violation" if violated else "ok").inc()
-            if violated:
-                self._consecutive_violations += 1
-                if self._consecutive_violations >= self.patience:
-                    self._disabled = True
-                    telemetry.counter("guardrail.disables").inc()
-                    telemetry.emit("guardrail.disable",
-                                   iteration=int(obs.iteration),
-                                   predicted_next=predicted_next,
-                                   previous=previous)
-            else:
-                self._consecutive_violations = 0
-            if telemetry.enabled():
-                tspan.set_attr("predicted_next", predicted_next)
-                tspan.set_attr("previous", previous)
-                tspan.set_attr("violated", violated)
-                tspan.set_attr("consecutive_violations", self._consecutive_violations)
-                tspan.set_attr("active", self.active)
-        return self.active
+        )
+        if violated:
+            self._consecutive_violations += 1
+            if self._consecutive_violations >= self.patience:
+                self._disabled = True
+        else:
+            self._consecutive_violations = 0
+        # One guard for the reporting: lock-step judges every due session
+        # each step, so the disabled-telemetry path stays a single check.
+        if not telemetry.enabled():
+            return
+        telemetry.counter("guardrail.checks").inc()
+        telemetry.counter("guardrail.verdicts",
+                          verdict="violation" if violated else "ok").inc()
+        if self._disabled:  # only an active guardrail is judged
+            telemetry.counter("guardrail.disables").inc()
+            telemetry.emit("guardrail.disable",
+                           iteration=iteration,
+                           predicted_next=predicted_next,
+                           previous=previous)
+        if tspan is not None:
+            tspan.set_attr("predicted_next", predicted_next)
+            tspan.set_attr("previous", previous)
+            tspan.set_attr("violated", violated)
+            tspan.set_attr("consecutive_violations", self._consecutive_violations)
+            tspan.set_attr("active", self.active)
 
     # -- persistence --------------------------------------------------------------
 

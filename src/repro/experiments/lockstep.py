@@ -4,10 +4,14 @@ Runs K independent Centroid Learning tuning sessions one *step* at a time
 in struct-of-arrays form: per step there is **one**
 ``true_time_batch``/``estimate_batch`` call per distinct (plan, cost
 parameters, pool) group covering every session, one batched ridge-pipeline
-fit for every session whose window model is stale, one batched guardrail
+fit for every session whose window model is stale, one stacked guardrail
 trend solve, and one batched centroid update — instead of K of each.  The
 CL step itself (shape rule, fits, scoring, Alg.-1 update) is
-:mod:`repro.core.batched_step`, shared with the shard drains.
+:mod:`repro.core.batched_step`, shared with the shard drains.  The
+guardrail state machine is each session's own
+:class:`~repro.core.guardrail.Guardrail`: the engine drives its
+``_record`` and ``_judge`` halves around the stacked solve, so the
+guardrails are live after every step.
 
 **Bit-identity contract.**  The engine is not an approximation: every
 floating-point operation is arranged so that session *k*'s observation
@@ -42,7 +46,8 @@ invariance.
 Sessions outside :func:`~repro.core.batched_step.batch_profile_for`'s
 shape (a task-switch detector or a safe-exploration gate included: those
 run only in the scalar :mod:`repro.core.switch` classes), stale or
-non-uniform populations, and robust guardrails raise
+non-uniform populations, robust guardrails, and optimizers or guardrails
+shared by two sessions raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
 path rather than silently getting different numbers.  Batched GP
 posteriors for BO/contextual paths are provided by
@@ -52,7 +57,7 @@ bitwise) contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +73,7 @@ from ..core.batched_step import (
 )
 from ..core.candidates import draw_candidates
 from ..core.centroid import CentroidLearning
-from ..core.guardrail import Guardrail, GuardrailDecision
+from ..core.guardrail import Guardrail
 from ..core.observation import Observation
 from ..core.session import IterationRecord, TuningSession, TuningTrace
 from ..ml.batched import BatchedRidgePipeline, ols_predict, polynomial_features_batch
@@ -129,18 +134,8 @@ class _Uniform:
     # Session 0's profile: its window-model shape, FIND_BEST mode, probe,
     # acquisition and space geometry are the population's.
     profile: BatchProfile
-    guardrail: Optional[Guardrail]  # parameter template (state lives in SoA)
-
-
-@dataclass
-class _GuardrailState:
-    """Per-session guardrail state, struct-of-arrays."""
-
-    consecutive: np.ndarray
-    disabled: np.ndarray
-    since_disable: np.ndarray
-    reenable_count: np.ndarray
-    decisions: List[List[GuardrailDecision]] = field(default_factory=list)
+    # Session 0's guardrail: the stacked trend solve's fit_window.
+    guardrail: Optional[Guardrail]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -245,16 +240,14 @@ class LockstepSessions:
         )
         self._model_version = np.full(self.k, -1)
 
+        # Each session's own guardrail, its two halves prebound like the
+        # draws above: a step makes one _record per session and one _judge
+        # per due check.
+        self._guardrails: Optional[List[Guardrail]] = None
         if u.guardrail is not None:
-            self._grs: Optional[_GuardrailState] = _GuardrailState(
-                consecutive=np.zeros(self.k, dtype=int),
-                disabled=np.zeros(self.k, dtype=bool),
-                since_disable=np.zeros(self.k, dtype=int),
-                reenable_count=np.zeros(self.k, dtype=int),
-                decisions=[[] for _ in range(self.k)],
-            )
-        else:
-            self._grs = None
+            self._guardrails = [o.guardrail for o in opts]
+            self._records = [g._record for g in self._guardrails]
+            self._judges = [g._judge for g in self._guardrails]
 
         # Step-indexed history buffers, grown on demand.
         self._t = 0
@@ -275,8 +268,8 @@ class LockstepSessions:
 
         Each session must have the batched step's shape
         (:func:`~repro.core.batched_step.batch_profile_for`); the rules here
-        are the ones lock-step adds: fresh state, uniform settings, and
-        non-robust guardrails.
+        are the ones lock-step adds: fresh state, uniform settings,
+        non-robust guardrails, and one optimizer and guardrail per session.
         """
         profiles = []
         for opt in opts:
@@ -327,6 +320,13 @@ class LockstepSessions:
                     g.n_observations == 0 and g.active,
                     "lock-step requires fresh guardrails",
                 )
+        # Each step feeds every session's optimizer state and guardrail, so
+        # one object behind two sessions would see both sessions' steps.
+        owned = list(opts) + [o.guardrail for o in opts if o.guardrail is not None]
+        _require(
+            len({id(o) for o in owned}) == len(owned),
+            "lock-step requires each session to own its optimizer and guardrail",
+        )
         uniform = _Uniform(
             window_size=first.observations.window_size,
             n_candidates=first.n_candidates,
@@ -468,11 +468,10 @@ class LockstepSessions:
         # 2. Suggest: guardrail-disabled sessions pin the default vector
         #    (consuming no randomness); active sessions draw β-neighborhood
         #    candidates from their own RNGs and score them in one batch.
+        #    The mask is the guardrails' state after the last step (fresh
+        #    guardrails are all active).
         vectors = np.empty((k_total, self.dim))
-        if self._grs is not None:
-            active = ~self._grs.disabled
-        else:
-            active = np.ones(k_total, dtype=bool)
+        active = self._active[:, t - 1] if t else np.ones(k_total, dtype=bool)
         act = np.flatnonzero(active)
         n_default = k_total - act.size
         if n_default:
@@ -504,21 +503,17 @@ class LockstepSessions:
         # 3. Execute on the workload substrate.
         self._execute(t, vectors, scales)
 
-        # 4. Observe: the guardrail sweep, then the vectorized Alg.-1
-        #    centroid update for every session that is active with a
-        #    full-enough window.
+        # 4. Observe: the guardrails, then the vectorized Alg.-1 centroid
+        #    update for every session that is active with a full-enough
+        #    window.
         telemetry.counter("session.steps").inc(k_total)
-        if self._grs is not None:
-            active_after = self._guardrail_step(t)
-            held = int(np.count_nonzero(~active_after))
-            if held:
-                telemetry.counter(
-                    "centroid.updates_skipped", reason="guardrail"
-                ).inc(held)
-            updatable = np.flatnonzero(active_after)
-        else:
-            active_after = np.ones(k_total, dtype=bool)
-            updatable = np.arange(k_total)
+        if self._guardrails is not None:
+            self._run_guardrails(t)
+        active_after = self.tuning_active
+        updatable = np.flatnonzero(active_after)
+        held = k_total - updatable.size
+        if held:
+            telemetry.counter("centroid.updates_skipped", reason="guardrail").inc(held)
         self._active[:, t] = active_after
         n_win = min(t + 1, u.window_size)
         if n_win < u.min_update_obs:
@@ -552,89 +547,45 @@ class LockstepSessions:
         self._ever_updated[upd] = True
         telemetry.counter("centroid.updates").inc(upd.size)
 
-    def _guardrail_step(self, t: int) -> np.ndarray:
-        """Vectorized :meth:`Guardrail.update` sweep; returns the active mask."""
-        g = self._u.guardrail
-        s = self._grs
-        was_disabled = s.disabled.copy()
-        dis = np.flatnonzero(was_disabled)
-        if dis.size and g.cooldown is not None:
-            s.since_disable[dis] += 1
-            telemetry.counter("guardrail.cooldown_holds").inc(dis.size)
-            ready = dis[s.since_disable[dis] >= g.cooldown]
-            if ready.size:
-                s.disabled[ready] = False
-                s.since_disable[ready] = 0
-                s.consecutive[ready] = 0
-                s.reenable_count[ready] += 1
-                telemetry.counter("guardrail.reenables").inc(ready.size)
-                for k in ready:
-                    telemetry.emit(
-                        "guardrail.reenable",
-                        iteration=t,
-                        reenable_count=int(s.reenable_count[k]),
-                    )
-        # Sessions disabled at entry (even ones re-enabled just above) skip
-        # the check this step, exactly like the sequential early return.
-        chk = np.flatnonzero(~was_disabled)
-        if chk.size and t + 1 >= g.min_iterations:
-            w = min(t + 1, g.fit_window)
-            lo = t + 1 - w
-            X = np.empty((chk.size, w, 2))
-            X[:, :, 0] = np.arange(lo, t + 1, dtype=float)[None, :]
-            X[:, :, 1] = self._sizes[chk, lo : t + 1]
-            y = self._perfs[chk, lo : t + 1]
-            p_last = self._sizes[chk, t]
-            rows = np.empty((chk.size, 2, 2))
-            rows[:, 0, 0] = float(t) + 1.0
-            rows[:, 1, 0] = float(t)
-            rows[:, :, 1] = p_last[:, None]
-            preds = ols_predict(X, y, rows)
-            pred_next = preds[:, 0]
-            previous = np.minimum(self._perfs[chk, t], preds[:, 1])
-            violated = pred_next > previous * (1.0 + g.threshold)
-            for j, k in enumerate(chk):
-                s.decisions[k].append(GuardrailDecision(
-                    iteration=t,
-                    predicted_next=float(pred_next[j]),
-                    previous=float(previous[j]),
-                    violated=bool(violated[j]),
-                ))
-            telemetry.counter("guardrail.checks").inc(chk.size)
-            n_violated = int(np.count_nonzero(violated))
-            if n_violated:
-                telemetry.counter(
-                    "guardrail.verdicts", verdict="violation"
-                ).inc(n_violated)
-            if chk.size - n_violated:
-                telemetry.counter("guardrail.verdicts", verdict="ok").inc(
-                    chk.size - n_violated
-                )
-            s.consecutive[chk] = np.where(violated, s.consecutive[chk] + 1, 0)
-            tripped = chk[violated & (s.consecutive[chk] >= g.patience)]
-            if tripped.size:
-                s.disabled[tripped] = True
-                telemetry.counter("guardrail.disables").inc(tripped.size)
-                for j, k in enumerate(chk):
-                    if s.disabled[k] and not was_disabled[k]:
-                        telemetry.emit(
-                            "guardrail.disable",
-                            iteration=t,
-                            predicted_next=float(pred_next[j]),
-                            previous=float(previous[j]),
-                        )
-        return ~s.disabled
+    def _run_guardrails(self, t: int) -> None:
+        """Feed step ``t`` to every session's guardrail.
+
+        Each guardrail records its observation (and runs its cooldown); the
+        due checks' trend lines are one stacked :func:`ols_predict` over the
+        engine's buffers — row *j* is bitwise the scalar ``_predict`` — and
+        each due guardrail then judges its own prediction, in session order.
+        """
+        records = self._records
+        sizes_t = self._sizes[:, t].tolist()
+        perfs_t = self._perfs[:, t].tolist()
+        due = [k for k in range(self.k) if records[k](t, sizes_t[k], perfs_t[k])]
+        if not due:
+            return
+        w = min(t + 1, self._u.guardrail.fit_window)
+        lo = t + 1 - w
+        sizes = self._sizes[due, lo : t + 1]
+        X = np.empty((len(due), w, 2))
+        X[:, :, 0] = np.arange(lo, t + 1, dtype=float)
+        X[:, :, 1] = sizes
+        rows = np.empty((len(due), 2, 2))
+        rows[:, 0, 0] = float(t) + 1.0
+        rows[:, 1, 0] = float(t)
+        rows[:, :, 1] = sizes[:, -1:]
+        preds = ols_predict(X, self._perfs[due, lo : t + 1], rows).tolist()
+        judges = self._judges
+        for k, (pred_next, pred_current) in zip(due, preds):
+            judges[k](pred_next, pred_current)
 
     # -- driving + results ---------------------------------------------------------
 
     def advance(self, n_iterations: int) -> None:
         """Advance all sessions ``n_iterations`` steps and sync state back.
 
-        Writes the final centroid/window/guardrail state into the
-        population's optimizer objects, so callers can inspect
-        ``optimizer.centroid``, ``optimizer.observations`` and
-        ``guardrail.active`` exactly as after a sequential run — without
-        materializing traces.
+        Writes the final centroid and window state into the population's
+        optimizer objects, so callers can inspect ``optimizer.centroid`` and
+        ``optimizer.observations`` exactly as after a sequential run —
+        without materializing traces.  (The guardrails need no write-back:
+        :meth:`step` drives them directly.)
         """
         if n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
@@ -651,9 +602,9 @@ class LockstepSessions:
     @property
     def tuning_active(self) -> np.ndarray:
         """Per-session guardrail-active mask (all True without guardrails)."""
-        if self._grs is None:
+        if self._guardrails is None:
             return np.ones(self.k, dtype=bool)
-        return ~self._grs.disabled.copy()
+        return np.array([g.active for g in self._guardrails])
 
     def traces(self) -> List[TuningTrace]:
         """Materialize per-session :class:`TuningTrace` objects."""
@@ -705,7 +656,6 @@ class LockstepSessions:
         """Write lock-step state back into the real optimizer objects."""
         n = self._t
         lo = self._synced_obs
-        iterations = np.arange(n, dtype=float).tolist()
         for k, opt in enumerate(self._opts):
             opt._centroid = self._centroids[k].copy()
             opt._n_updates = int(self._n_updates[k])
@@ -740,17 +690,6 @@ class LockstepSessions:
                     embedding=None,
                 )
                 append(obs)
-            guardrail = opt.guardrail
-            if guardrail is not None and self._grs is not None:
-                s = self._grs
-                guardrail._iterations = iterations[:]  # private: update() appends
-                guardrail._data_sizes = self._sizes[k, :n].tolist()
-                guardrail._times = self._perfs[k, :n].tolist()
-                guardrail._consecutive_violations = int(s.consecutive[k])
-                guardrail._disabled = bool(s.disabled[k])
-                guardrail._since_disable = int(s.since_disable[k])
-                guardrail.reenable_count = int(s.reenable_count[k])
-                guardrail.decisions = list(s.decisions[k])
         self._synced_obs = n
 
 

@@ -10,10 +10,12 @@ axis:
 * :func:`fit_ridge_pipeline` / :class:`BatchedRidgePipeline` — the default
   ``StandardScaler → PolynomialFeatures → RidgeRegression`` window model
   (:mod:`repro.ml.scaler`, :mod:`repro.ml.linear`), fitted for K sessions at
-  once.
+  once.  Both paths expand features with the one
+  :func:`repro.ml.linear.polynomial_features_batch`.
 * :func:`ols_predict` — a deterministic ordinary-least-squares predictor
-  (standardized normal equations) shared by the scalar
-  :class:`repro.core.guardrail.Guardrail` and its lock-step batch twin.
+  (standardized normal equations): the trend solve of the scalar
+  :class:`repro.core.guardrail.Guardrail` check, and the one stacked solve
+  lock-step makes for all of a step's due guardrail checks.
 * :func:`batched_gp_posterior` — shared-kernel block solves: posterior
   means/stds for B outcome vectors that share one training-input matrix and
   one kernel, via a single Cholesky factorization.
@@ -43,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
+from .linear import polynomial_features_batch
+
 __all__ = [
     "BatchedRidgePipeline",
     "batched_gp_posterior",
@@ -50,27 +54,6 @@ __all__ = [
     "ols_predict",
     "polynomial_features_batch",
 ]
-
-
-def polynomial_features_batch(X: np.ndarray, degree: int = 2,
-                              interaction_only: bool = False) -> np.ndarray:
-    """Degree-≤2 polynomial expansion over the trailing axis.
-
-    Matches :class:`repro.ml.linear.PolynomialFeatures` column order exactly
-    (original columns first, then ``x_i · x_j`` for ``j >= i``), applied to
-    arrays with any number of leading batch axes.
-    """
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
-    if degree == 1:
-        return X
-    cols = [X]
-    d = X.shape[-1]
-    for i in range(d):
-        start = i + 1 if interaction_only else i
-        for j in range(start, d):
-            cols.append(X[..., i : i + 1] * X[..., j : j + 1])
-    return np.concatenate(cols, axis=-1)
 
 
 @dataclass
@@ -156,8 +139,8 @@ def ols_predict(X: np.ndarray, y: np.ndarray, queries: np.ndarray) -> np.ndarray
     ``(q,)``) or stacked 3-D inputs with a leading batch axis.  Both shapes
     run through the *same* batched code path, so a scalar call is bitwise
     identical to the matching slice of a batched call — this is the solver
-    shared by :class:`repro.core.guardrail.Guardrail` and the lock-step
-    guardrail arrays.
+    shared by :meth:`repro.core.guardrail.Guardrail.update` and lock-step's
+    stacked solve over its due guardrail checks.
 
     Degenerate (constant) feature columns get a zero coefficient: their
     centered values vanish from the Gram matrix, which is padded with an

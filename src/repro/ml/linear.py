@@ -13,7 +13,12 @@ import numpy as np
 
 from .base import check_X, check_X_y
 
-__all__ = ["LinearRegression", "RidgeRegression", "PolynomialFeatures"]
+__all__ = [
+    "LinearRegression",
+    "RidgeRegression",
+    "PolynomialFeatures",
+    "polynomial_features_batch",
+]
 
 
 class LinearRegression:
@@ -81,6 +86,33 @@ class RidgeRegression:
         return X @ self.coef_ + self.intercept_
 
 
+def polynomial_features_batch(X: np.ndarray, degree: int = 2,
+                              interaction_only: bool = False) -> np.ndarray:
+    """Degree-≤2 polynomial expansion over the trailing axis.
+
+    The one expansion behind :class:`PolynomialFeatures` and the batched
+    window models (:mod:`repro.ml.batched`): original columns first, then
+    ``x_i · x_j`` for ``j >= i`` (``j > i`` with ``interaction_only``),
+    applied to arrays with any number of leading batch axes.  Degree 1
+    returns ``X`` itself.
+    """
+    if degree not in (1, 2):
+        raise ValueError(f"degree must be 1 or 2, got {degree}")
+    if degree == 1:
+        return X
+    d = X.shape[-1]
+    pairs = [(i, j) for i in range(d)
+             for j in range(i + 1 if interaction_only else i, d)]
+    out = np.empty(X.shape[:-1] + (d + len(pairs),), dtype=X.dtype)
+    out[..., :d] = X
+    # Each product goes straight into its column: no per-pair temporaries
+    # and no concatenation, which is the cost at the lock-step (K, n, f)
+    # stacks as well as at the scalar (n, f) windows.
+    for col, (i, j) in enumerate(pairs, start=d):
+        np.multiply(X[..., i], X[..., j], out=out[..., col])
+    return out
+
+
 class PolynomialFeatures:
     """Degree-2 polynomial expansion (optionally interactions only).
 
@@ -102,13 +134,7 @@ class PolynomialFeatures:
         X = check_X(X)
         if self.degree == 1:
             return X.copy()
-        n, d = X.shape
-        cols = [X]
-        for i in range(d):
-            start = i + 1 if self.interaction_only else i
-            for j in range(start, d):
-                cols.append((X[:, i] * X[:, j]).reshape(n, 1))
-        return np.hstack(cols)
+        return polynomial_features_batch(X, 2, self.interaction_only)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

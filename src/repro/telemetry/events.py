@@ -9,7 +9,6 @@ bit-identical logs).
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,12 +24,6 @@ class TelemetryEvent:
     name: str
     sequence: int
     fields: Dict[str, object] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "sequence": self.sequence, "fields": self.fields},
-            sort_keys=True,
-        )
 
 
 class EventLog:

@@ -25,6 +25,20 @@ class TestGuardrailValidation:
         with pytest.raises(ValueError):
             Guardrail(patience=0)
 
+    def test_fit_window(self):
+        with pytest.raises(ValueError, match="fit_window must be >= 3"):
+            Guardrail(fit_window=2)
+
+    @pytest.mark.parametrize(
+        "setting", ["min_iterations", "threshold", "patience", "fit_window", "cooldown"]
+    )
+    def test_rejects_nan(self, setting):
+        # NaN fails every comparison: a NaN threshold would make every
+        # verdict "ok", a NaN patience never disable, a NaN cooldown never
+        # re-enable.
+        with pytest.raises(ValueError, match=f"{setting} must be"):
+            Guardrail(**{setting: float("nan")})
+
 
 class TestGuardrailBehavior:
     def test_no_checks_before_min_iterations(self):

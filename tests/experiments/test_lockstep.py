@@ -161,6 +161,49 @@ class TestStateSync:
         assert active.shape == (6,)
         assert active.dtype == bool
 
+    def test_guardrails_are_live_after_each_step(self):
+        # step() drives the sessions' own guardrails, so they read as the
+        # sequential twins' do without an advance().
+        specs, seq_specs = mixed_population(), mixed_population()
+        engine = LockstepSessions(specs)
+        for _ in range(N_ITERATIONS):
+            engine.step()
+        run_sequential(seq_specs, N_ITERATIONS)
+        for lock_spec, seq_spec in zip(specs, seq_specs):
+            lock_g, seq_g = lock_spec.optimizer.guardrail, seq_spec.optimizer.guardrail
+            assert lock_g.n_observations == N_ITERATIONS
+            assert lock_g.decisions == seq_g.decisions
+            assert lock_g.active == seq_g.active
+        assert any(spec.optimizer.guardrail.decisions for spec in specs)
+
+    def test_reused_guardrails_keep_their_audit_trail(self):
+        # reset() clears the fit state but keeps the decision log and the
+        # re-enable count, so a reset guardrail passes the freshness rule
+        # and must carry that trail through the run as the sequential
+        # loop does.
+        def worn_guardrail():
+            g = Guardrail(min_iterations=3, threshold=0.1, patience=1, cooldown=1)
+            for i in range(8):  # doubling: disable, re-enable, disable, ...
+                g.update(Observation(config=np.zeros(1), data_size=100.0,
+                                     performance=2.0 ** i, iteration=i))
+            assert g.reenable_count == 3 and len(g.decisions) == 3
+            g.reset()
+            return g
+
+        def population():
+            specs = mixed_population()
+            for spec in specs:
+                spec.optimizer.guardrail = worn_guardrail()
+            return specs
+
+        specs, seq_specs = population(), population()
+        LockstepSessions(specs).run(N_ITERATIONS)
+        run_sequential(seq_specs, N_ITERATIONS)
+        for lock_spec, seq_spec in zip(specs, seq_specs):
+            lock_g, seq_g = lock_spec.optimizer.guardrail, seq_spec.optimizer.guardrail
+            assert lock_g.decisions == seq_g.decisions
+            assert lock_g.reenable_count == seq_g.reenable_count
+
 
 class TestValidation:
     def test_rejects_non_centroid_optimizer(self):
@@ -236,6 +279,18 @@ class TestValidation:
         specs = mixed_population()[:2]
         specs[1].optimizer = CentroidLearning(query_level_space(), seed=1)
         with pytest.raises(LockstepCompatibilityError, match="guardrail"):
+            LockstepSessions(specs)
+
+    @pytest.mark.parametrize("shared", ["optimizer", "guardrail"])
+    def test_rejects_shared_state(self, shared):
+        # One object behind two sessions would be fed both sessions' steps,
+        # unlike the sequential loop, which runs the sessions one by one.
+        specs = mixed_population()[:2]
+        if shared == "optimizer":
+            specs[1].optimizer = specs[0].optimizer
+        else:
+            specs[1].optimizer.guardrail = specs[0].optimizer.guardrail
+        with pytest.raises(LockstepCompatibilityError, match="own its optimizer"):
             LockstepSessions(specs)
 
     def test_rejects_nonuniform_window_size(self):

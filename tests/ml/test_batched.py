@@ -58,6 +58,29 @@ def scalar_pipeline(alpha, degree=2, interaction_only=False):
 
 
 class TestPolynomialFeaturesBatch:
+    @staticmethod
+    def reference(X, interaction_only):
+        """An independent per-column loop: the column-order reference the
+        one expansion is checked against, through both of its callers."""
+        n, d = X.shape
+        cols = [X]
+        for i in range(d):
+            start = i + 1 if interaction_only else i
+            for j in range(start, d):
+                cols.append((X[:, i] * X[:, j]).reshape(n, 1))
+        return np.hstack(cols)
+
+    @pytest.mark.parametrize("shape", [(10, 4), (30, 4), (1, 4), (500, 20)])
+    @pytest.mark.parametrize("interaction_only", [False, True])
+    def test_matches_reference_loop_bitwise(self, batch_rng, shape, interaction_only):
+        X = batch_rng.normal(size=shape)
+        expected = self.reference(X, interaction_only)
+        assert np.array_equal(
+            polynomial_features_batch(X, 2, interaction_only), expected
+        )
+        scalar = PolynomialFeatures(degree=2, interaction_only=interaction_only)
+        assert np.array_equal(scalar.transform(X), expected)
+
     @pytest.mark.parametrize("interaction_only", [False, True])
     def test_matches_scalar_column_order_bitwise(self, batch_rng, interaction_only):
         X = batch_rng.normal(size=(K, N, F))
