@@ -49,10 +49,7 @@ run only in the scalar :mod:`repro.core.switch` classes), stale or
 non-uniform populations, robust guardrails, and optimizers or guardrails
 shared by two sessions raise
 :class:`LockstepCompatibilityError` — callers fall back to the sequential
-path rather than silently getting different numbers.  Batched GP
-posteriors for BO/contextual paths are provided by
-:func:`repro.ml.batched.batched_gp_posterior` under a tolerance (not
-bitwise) contract.
+path rather than silently getting different numbers.
 """
 
 from __future__ import annotations

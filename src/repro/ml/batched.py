@@ -16,9 +16,6 @@ axis:
   (standardized normal equations): the trend solve of the scalar
   :class:`repro.core.guardrail.Guardrail` check, and the one stacked solve
   lock-step makes for all of a step's due guardrail checks.
-* :func:`batched_gp_posterior` — shared-kernel block solves: posterior
-  means/stds for B outcome vectors that share one training-input matrix and
-  one kernel, via a single Cholesky factorization.
 
 **Bit-identity contract.**  Every batched operation here is implemented in a
 form whose per-slice results are bitwise identical to the scalar NumPy
@@ -30,12 +27,6 @@ stacked ``swapaxes(X, 1, 2) @ X`` Gram products, stacked
 is deliberately avoided.)  ``tests/ml/test_batched.py`` pins the contract
 per primitive; :func:`repro.verify.diff.diff_lockstep_sequential` pins it
 end to end.
-
-The GP helper is the exception: block triangular solves reassociate
-floating-point sums, so its contract is *numerical* (small atol against
-per-session refits), not bitwise.  That is why the lock-step engine's
-bit-identical fast path covers Centroid Learning sessions, while BO paths
-get batched posteriors with a tolerance-based oracle.
 """
 
 from __future__ import annotations
@@ -43,13 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .linear import polynomial_features_batch
 
 __all__ = [
     "BatchedRidgePipeline",
-    "batched_gp_posterior",
     "fit_ridge_pipeline",
     "ols_predict",
     "polynomial_features_batch",
@@ -176,63 +165,3 @@ def ols_predict(X: np.ndarray, y: np.ndarray, queries: np.ndarray) -> np.ndarray
     qs = (queries - mean[:, None, :]) / std[:, None, :]
     out = (qs @ coef[..., None])[..., 0] + y_mean[:, None]
     return out[0] if scalar else out
-
-
-def batched_gp_posterior(template, X: np.ndarray, Y: np.ndarray,
-                         X_star: np.ndarray):
-    """Posterior means/stds for B targets sharing one kernel and input set.
-
-    When B sessions observe the *same* candidate configurations (a shared
-    workload family) but different outcomes, their GP posteriors share the
-    training-kernel Cholesky factor.  This computes all B posteriors with
-    one factorization and block triangular solves instead of B independent
-    fits.
-
-    Args:
-        template: a :class:`repro.ml.gp.GaussianProcessRegressor` supplying
-            the (frozen) kernel hyperparameters, noise variance, and
-            ``normalize_y`` policy.  It is not mutated.
-        X: shared training inputs, shape ``(n, f)``.
-        Y: per-session raw targets, shape ``(B, n)``.
-        X_star: query points, shape ``(m, f)``.
-
-    Returns:
-        ``(means, stds)`` of shape ``(B, m)`` each.  Agrees with B
-        independent ``fit(X, Y[b]).predict_with_std(X_star)`` calls (with
-        hyperparameter optimization disabled) to numerical tolerance — block
-        solves reassociate sums, so this contract is atol-based, not
-        bitwise.
-    """
-    from .gp import _JITTER  # local import: keep the gp module optional here
-
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    X_star = np.asarray(X_star, dtype=float)
-    if Y.ndim != 2 or Y.shape[1] != len(X):
-        raise ValueError(
-            f"Y must have shape (B, {len(X)}), got {Y.shape}"
-        )
-    if template.normalize_y:
-        y_mean = Y.mean(axis=1)
-        y_std = Y.std(axis=1)
-        y_std = np.where(y_std == 0.0, 1.0, y_std)
-    else:
-        y_mean = np.zeros(len(Y))
-        y_std = np.ones(len(Y))
-    yn = (Y - y_mean[:, None]) / y_std[:, None]
-
-    kernel = template.kernel
-    K = kernel(X, X)
-    K[np.diag_indices_from(K)] += template.noise + _JITTER
-    L = np.linalg.cholesky(K)
-    chol = (L, True)
-    # Block solve: all B alpha vectors from one factorization.
-    alphas = cho_solve(chol, yn.T)                      # (n, B)
-    K_star = kernel(X_star, X)                          # (m, n)
-    means_n = K_star @ alphas                           # (m, B)
-    v = cho_solve(chol, K_star.T)                       # (n, m)
-    var_n = kernel.diag(X_star) - np.sum(K_star * v.T, axis=1)
-    np.maximum(var_n, 1e-12, out=var_n)
-    means = means_n.T * y_std[:, None] + y_mean[:, None]
-    stds = np.sqrt(var_n)[None, :] * y_std[:, None]
-    return means, stds

@@ -109,12 +109,20 @@ def _best_split(X, y, feature_indices, min_samples_leaf):
     Every element sees the same operations in the same order as in that
     per-feature loop, which ``tests/ml/test_tree_exactness.py`` keeps as
     the reference, so the result is bitwise the loop's.
+
+    Features constant over the node's rows are dropped before the sort:
+    they have no cut, so their gain would be ``-inf`` and could never win.
     """
     n = len(y)
     parent_sse = float(np.sum((y - y.mean()) ** 2))
     if n < 2 * min_samples_leaf or len(feature_indices) == 0:
         return (-1, 0.0, 0.0)
     rows = X.T[feature_indices]
+    varies = (rows != rows[:, :1]).any(axis=1)
+    if not varies.all():
+        if not varies.any():
+            return (-1, 0.0, 0.0)
+        rows, feature_indices = rows[varies], np.asarray(feature_indices)[varies]
     order = np.argsort(rows, axis=1, kind="stable")
     xs = np.take_along_axis(rows, order, axis=1)
     ys = y[order]

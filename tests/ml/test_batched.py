@@ -2,10 +2,9 @@
 
 The lock-step session engine replaces K scalar model fits per step with one
 batched fit; the replacement is only sound because every batched operation
-below is *bitwise* identical per slice to the scalar path it replaces (the
-GP block solve is the documented atol exception).  These tests pin each
-primitive in isolation so an engine-level divergence can be bisected to the
-operation that drifted.
+below is *bitwise* identical per slice to the scalar path it replaces.
+These tests pin each primitive in isolation so an engine-level divergence
+can be bisected to the operation that drifted.
 
 Two RNG/encoding primitives the engine also relies on are pinned here too:
 
@@ -22,13 +21,10 @@ import pytest
 
 from repro.ml.batched import (
     BatchedRidgePipeline,
-    batched_gp_posterior,
     fit_ridge_pipeline,
     ols_predict,
     polynomial_features_batch,
 )
-from repro.ml.gp import GaussianProcessRegressor
-from repro.ml.kernels import Matern52Kernel
 from repro.ml.linear import PolynomialFeatures, RidgeRegression
 from repro.ml.scaler import Pipeline, StandardScaler
 from repro.sparksim.configs import query_level_space
@@ -159,33 +155,6 @@ class TestOlsPredict:
         y = 2.0 * X[:, 0] + 1.0
         queries = np.array([[0.0, 7.0], [1.0, 7.0]])
         assert np.allclose(ols_predict(X, y, queries), [1.0, 3.0], atol=1e-6)
-
-
-class TestBatchedGpPosterior:
-    def test_matches_per_session_refits_within_atol(self, batch_rng):
-        B, n, f, m = 4, 12, 3, 6
-        X = batch_rng.uniform(-1.0, 1.0, size=(n, f))
-        Y = batch_rng.normal(size=(B, n))
-        X_star = batch_rng.uniform(-1.0, 1.0, size=(m, f))
-        template = GaussianProcessRegressor(
-            kernel=Matern52Kernel(), noise=1e-3,
-            normalize_y=True, optimize_hypers=False,
-        )
-        means, stds = batched_gp_posterior(template, X, Y, X_star)
-        for b in range(B):
-            gp = GaussianProcessRegressor(
-                kernel=Matern52Kernel(), noise=1e-3,
-                normalize_y=True, optimize_hypers=False,
-            ).fit(X, Y[b])
-            mean_b, std_b = gp.predict_with_std(X_star)
-            assert np.allclose(means[b], mean_b, atol=1e-8)
-            assert np.allclose(stds[b], std_b, atol=1e-6)
-
-    def test_rejects_mismatched_target_shape(self, batch_rng):
-        template = GaussianProcessRegressor(optimize_hypers=False)
-        X = batch_rng.normal(size=(5, 2))
-        with pytest.raises(ValueError, match="shape"):
-            batched_gp_posterior(template, X, batch_rng.normal(size=(3, 4)), X[:2])
 
 
 class TestEnginePrimitives:

@@ -474,3 +474,98 @@ def test_baseline_on_flighting_table_matches_loop_split_fit(monkeypatch, flighti
     ), X, y)
     assert calls > 8 * 4
     assert_same_fit(real, ref, X)
+
+
+def assert_same_split(X, y, features, min_samples_leaf=1):
+    features = np.asarray(features, dtype=np.intp)
+    got = _best_split(X, y, features, min_samples_leaf)
+    want = loop_best_split(X, y, features, min_samples_leaf)
+    assert got[0] == want[0]
+    assert np.array_equal(bits(got[1:]), bits(want[1:]))
+    return got
+
+
+@pytest.fixture
+def mostly_constant_data(rng):
+    """Columns 0-5 constant (each its own value), 6 and 7 vary; 6 splits best."""
+    X = np.tile(np.arange(8, dtype=float) * 0.1, (60, 1))
+    X[:, 6] = rng.uniform(size=60)
+    X[:, 7] = rng.uniform(size=60)
+    return X, np.where(X[:, 6] > 0.4, 2.0, -1.0) + 0.1 * X[:, 7]
+
+
+class TestConstantFeaturePruning:
+    """``_best_split`` drops features constant over the node's rows before
+    it sorts; the loop scores them and finds no cut.  Both pick the same
+    split."""
+
+    def test_winner_listed_after_constant_features(self, mostly_constant_data):
+        X, y = mostly_constant_data
+        assert assert_same_split(X, y, [0, 1, 2, 3, 4, 5, 6])[0] == 6
+        assert assert_same_split(X, y, [3, 0, 7, 5, 6, 1])[0] == 6
+
+    def test_winner_listed_before_constant_features(self, mostly_constant_data):
+        X, y = mostly_constant_data
+        assert assert_same_split(X, y, [6, 0, 1, 2])[0] == 6
+        assert assert_same_split(X, y, [7, 4, 2], min_samples_leaf=5)[0] == 7
+
+    def test_every_candidate_constant(self, mostly_constant_data):
+        X, y = mostly_constant_data
+        for features in ([0], [5, 1, 3], [0, 1, 2, 3, 4, 5]):
+            assert assert_same_split(X, y, features) == (-1, 0.0, 0.0)
+
+    def test_column_constant_only_over_the_nodes_rows(self, rng):
+        X = rng.uniform(size=(80, 3))
+        left = X[:, 0] <= 0.5
+        X[left, 1] = 0.3                  # constant on the left child's rows
+        y = 4.0 * X[:, 1] + X[:, 2]
+        assert assert_same_split(X, y, [1, 0, 2])[0] == 1
+        assert assert_same_split(X[left], y[left], [1, 0, 2])[0] == 2
+        assert assert_same_split(X[left], y[left], [1]) == (-1, 0.0, 0.0)
+
+    def test_random_mostly_constant_nodes_match_loop(self):
+        rng = np.random.default_rng(1)
+        splits = 0
+        for _ in range(300):
+            X, y, features, min_leaf = random_node(rng)
+            keep = rng.integers(0, X.shape[1])
+            for j in range(X.shape[1]):
+                if j != keep and rng.random() < 0.7:
+                    X[:, j] = X[0, j]
+            splits += assert_same_split(X, y, features, min_leaf)[0] >= 0
+        assert 30 < splits < 300  # both outcomes are exercised
+
+    def test_forest_on_mostly_constant_table(self, monkeypatch, rng):
+        X = np.tile(rng.uniform(size=30), (120, 1))  # 26 constant columns
+        X[:, [3, 11, 17, 29]] = rng.uniform(size=(120, 4))
+        y = np.sin(4.0 * X[:, 3]) + X[:, 11] * X[:, 17] - X[:, 29]
+        real, ref, calls = fit_both(monkeypatch, lambda: RandomForestRegressor(
+            n_estimators=10, max_features="sqrt", seed=9), X, y)
+        assert calls > 10
+        assert_same_fit(real, ref, X)
+        # Every feature draw happened in the same order: the trees' own
+        # RNGs, and the forest's, end in the same state.
+        for a, b in zip(real._trees, ref._trees):
+            assert a._rng.bit_generator.state == b._rng.bit_generator.state
+        assert real._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+def test_root_split_search_sorts_only_varying_features(monkeypatch, flighting_table):
+    """The seed-1 flighting table varies in 40 of its 126 columns; the
+    other 86 are embedding dimensions no flighted plan moves."""
+    X, y = flighting_table.X, flighting_table.y
+    varying = np.flatnonzero((X != X[0]).any(axis=0))
+    assert X.shape == (576, 126) and len(varying) == 40
+    sorted_shapes = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sorted_shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", counting_argsort)
+        got = _best_split(X, y, np.arange(126), 3)
+    assert sorted_shapes == [(40, 576)]
+    assert got[0] in varying
+    assert_same_split(X, y, np.arange(126), 3)

@@ -2,6 +2,7 @@
 shared no-op singletons, and the instrumentation overhead on a hot loop
 stays under 5%."""
 
+import statistics
 import time
 
 import pytest
@@ -90,16 +91,20 @@ def _bare_workload(n):
     return acc
 
 
-def _interleaved_best(fns, n, trials=11):
-    """Best-of-``trials`` per fn with the trials interleaved, so frequency
-    drift and background load hit both contestants alike."""
-    best = [float("inf")] * len(fns)
-    for _ in range(trials):
-        for k, fn in enumerate(fns):
+def _paired_ratios(instrumented, bare, n, trials=21):
+    """``instrumented / bare`` time of each trial.  A trial times the two
+    arms back to back, and trials alternate which arm goes first, so host
+    load and frequency drift land on both arms of a pair alike."""
+    ratios = []
+    for t in range(trials):
+        arms = (bare, instrumented) if t % 2 == 0 else (instrumented, bare)
+        seconds = {}
+        for fn in arms:
             started = time.perf_counter()
             fn(n)
-            best[k] = min(best[k], time.perf_counter() - started)
-    return best
+            seconds[fn] = time.perf_counter() - started
+        ratios.append(seconds[instrumented] / seconds[bare])
+    return ratios
 
 
 class TestOverhead:
@@ -107,12 +112,12 @@ class TestOverhead:
         n = 100
         _workload(n)  # warm up both paths
         _bare_workload(n)
-        bare, instrumented = _interleaved_best([_bare_workload, _workload], n)
-        overhead = instrumented / bare - 1.0
+        overhead = statistics.median(_paired_ratios(_workload, _bare_workload, n)) - 1.0
         # The loop does ~2000 arithmetic ops (~0.15ms) per telemetry
         # touchpoint — the density of the real hot paths, where a step is
         # milliseconds of simulator work — so the two no-op facade calls
         # (~0.5µs) must stay in the noise.  5% is the contract from
         # docs/observability.md; benchmarks/bench_perf_telemetry.py records
-        # the measured number in BENCH_perf.json.
+        # the measured number in BENCH_perf.json.  The median paired ratio
+        # ignores a burst of host load that lands on a few trials.
         assert overhead < 0.05, f"disabled-telemetry overhead {overhead:.2%} >= 5%"
