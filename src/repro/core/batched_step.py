@@ -1,25 +1,28 @@
 """One Centroid-Learning step for K sessions at once, in struct-of-arrays form.
 
-The lock-step engine (:mod:`repro.experiments.lockstep`) and the sharded
-service's drains (:mod:`repro.service.batch_exec`) both call this kernel;
-the scalar :class:`~repro.core.centroid.CentroidLearning` path stays the
-reference both are checked against.  It holds the shape rule both engines
-apply (:func:`batch_profile_for`), window-model fits and stacking,
-candidate scoring (:func:`window_means` then :func:`acquisition_scores`;
-the pick is the row-wise ``argmax``), and the Alg.-1 update
-(:func:`centroid_step`).
+Every engine calls this kernel: the scalar
+:class:`~repro.core.centroid.CentroidLearning` update at K=1, the lock-step
+engine (:mod:`repro.experiments.lockstep`) and the sharded service's drains
+(:mod:`repro.service.batch_exec`).  It holds the shape rule
+(:func:`update_profile`, the update half, and :func:`batch_profile_for`, the
+whole rule), candidate scoring (:func:`window_means` then
+:func:`acquisition_scores`; the pick is the row-wise ``argmax``), and the
+Alg.-1 update (:func:`centroid_step`).  The window-model fits, stacking and
+memo are :mod:`repro.core.find_best`'s, re-exported here.
 
 Every function is pure array arithmetic — no RNG draws, no telemetry, no
-optimizer state — arranged so that row ``k`` is bitwise equal to the scalar
-path for session ``k``.  Callers own RNG streams, guardrails, counters and
-spans.  Sessions with a task-switch detector or a safe-exploration gate are
-out of shape: :mod:`repro.core.switch` is their only implementation.
+optimizer state — arranged so that row ``k`` is bitwise equal to the
+generic path (a fitted ``Pipeline``, :func:`~repro.core.find_best.find_best`
+and :func:`~repro.core.gradient.ml_sign_gradient`) for session ``k``.
+Callers own RNG streams, guardrails, counters and spans.  Sessions with a
+task-switch detector or a safe-exploration gate are out of the batched
+engines' shape: :mod:`repro.core.switch` is their only implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -30,13 +33,11 @@ from ..ml.acquisition import (
     MeanMinimizer,
     ProbabilityOfImprovement,
 )
-from ..ml.batched import BatchedRidgePipeline, fit_ridge_pipeline
+from ..ml.batched import BatchedRidgePipeline
 from ..ml.linear import PolynomialFeatures, RidgeRegression
 from ..ml.scaler import Pipeline, StandardScaler
-from .centroid import CentroidLearning
-from .find_best import FindBestMode
+from .find_best import FindBestMode, fit_window_models, stack_models, window_means
 from .gradient import _MAX_ENUM_DIM, _candidate_deltas
-from .selectors import SurrogateSelector
 
 __all__ = [
     "BatchProfile",
@@ -45,6 +46,7 @@ __all__ = [
     "centroid_step",
     "fit_window_models",
     "stack_models",
+    "update_profile",
     "window_means",
 ]
 
@@ -62,7 +64,7 @@ _GEOMETRY_ATTR = "_batched_step_geometry"
 
 @dataclass
 class BatchProfile:
-    """One session's shape, as the batched step needs it.
+    """One session's shape, as the batched update needs it.
 
     ``bounds_low``, ``bounds_high``, ``span`` and ``deltas`` (the Eq.-7 sign
     set) are read-only arrays shared by every profile of one space object.
@@ -74,7 +76,6 @@ class BatchProfile:
     dim: int
     find_best_mode: FindBestMode
     probe: str
-    acquisition: AcquisitionFunction
     bounds_low: np.ndarray
     bounds_high: np.ndarray
     span: np.ndarray
@@ -105,30 +106,18 @@ def _geometry(space) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return geometry
 
 
-def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
-    """The session's :class:`BatchProfile`, or why it is out of shape.
+def update_profile(optimizer) -> Union[BatchProfile, str]:
+    """The update half of the shape rule: the profile, or why it fails.
 
-    The shape: an exact-type :class:`CentroidLearning` with the ``"ml"``
-    gradient, a ``"span"`` or ``"multiplicative"`` probe and at most
-    ``_MAX_ENUM_DIM`` knobs; an exact-type :class:`SurrogateSelector` with no
-    baseline, the optimizer's model factory and an elementwise acquisition;
-    an exact ``StandardScaler → PolynomialFeatures →
-    RidgeRegression(fit_intercept=True)`` window model; no switch detector
-    and no safe gate (their re-anchors and candidate masks run only in the
-    scalar classes).  Any guardrail passes: every engine runs the session's
-    own :class:`~repro.core.guardrail.Guardrail` — the drains call its
-    ``update``, lock-step its two halves around one stacked trend solve (so
-    lock-step alone asks for uniform, non-robust guardrails).  Exact types,
-    since a subclass may override what is replayed here.
-
-    The reason is a label, in the order checked: ``"optimizer"``,
-    ``"gradient"``, ``"dim"``, ``"selector"``, ``"model"``,
-    ``"switch_detector"`` or ``"safe_gate"`` — the ``reason`` of the
-    drains' ``service.batch.fallback_sessions`` counter and of lock-step's
-    refusal.
+    The ``"ml"`` gradient, a ``"span"`` or ``"multiplicative"`` probe, at
+    most ``_MAX_ENUM_DIM`` knobs, and an exact ``StandardScaler →
+    PolynomialFeatures → RidgeRegression(fit_intercept=True)`` window model
+    — exact types, since a subclass may override what is replayed here.
+    The reason is ``"gradient"``, ``"dim"`` or ``"model"``, checked in that
+    order.  The caller checks the optimizer's own type: this probe calls
+    the model factory once, so :class:`~repro.core.centroid.CentroidLearning`
+    runs it at its first fit and keeps the answer.
     """
-    if type(optimizer) is not CentroidLearning:
-        return "optimizer"
     if optimizer.gradient_mode != "ml" or optimizer.probe not in (
         "span", "multiplicative",
     ):
@@ -136,14 +125,6 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     space = optimizer.space
     if space.dim > _MAX_ENUM_DIM:
         return "dim"
-    selector = optimizer.selector
-    if (
-        type(selector) is not SurrogateSelector
-        or selector.baseline is not None
-        or selector.model_factory is not optimizer.model_factory
-        or type(selector.acquisition) not in _ELEMENTWISE_ACQUISITIONS
-    ):
-        return "selector"
     try:
         model = optimizer.model_factory()
     except Exception:  # noqa: BLE001 — an exploding factory is "not batchable"
@@ -151,10 +132,6 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     steps = [step for _, step in model.steps] if type(model) is Pipeline else []
     if [type(s) for s in steps] != _WINDOW_MODEL_STEPS or not steps[2].fit_intercept:
         return "model"
-    if optimizer.switch_detector is not None:
-        return "switch_detector"
-    if optimizer.safe_gate is not None:
-        return "safe_gate"
     _, poly, ridge = steps
     low, high, span, deltas = _geometry(space)
     return BatchProfile(
@@ -164,7 +141,6 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
         dim=space.dim,
         find_best_mode=optimizer.find_best_mode,
         probe=optimizer.probe,
-        acquisition=selector.acquisition,
         bounds_low=low,
         bounds_high=high,
         span=span,
@@ -172,52 +148,49 @@ def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
     )
 
 
-# -- window models -------------------------------------------------------------
+def batch_profile_for(optimizer) -> Union[BatchProfile, str]:
+    """The session's :class:`BatchProfile` under the whole shape rule, or
+    why it is out of shape.
 
+    The update half (:func:`update_profile`) on an exact-type
+    :class:`CentroidLearning`, read from the optimizer so that it is probed
+    once, then the serving half: an exact-type :class:`SurrogateSelector`
+    with no baseline, the optimizer's model factory and an elementwise
+    acquisition; no switch detector and no safe gate (their re-anchors and
+    candidate masks run only in the scalar classes).  Any guardrail passes:
+    every engine runs the session's own
+    :class:`~repro.core.guardrail.Guardrail` — the drains call its
+    ``update``, lock-step its two halves around one stacked trend solve (so
+    lock-step alone asks for uniform, non-robust guardrails).
 
-def fit_window_models(
-    configs: np.ndarray,
-    sizes: np.ndarray,
-    perfs: np.ndarray,
-    ridge_alphas: np.ndarray,
-    profile: BatchProfile,
-) -> BatchedRidgePipeline:
-    """Fit ``H(c, p)`` (Eq. 4) on K ``(n, d)`` windows of one model shape."""
-    k, n, d = configs.shape
-    X = np.empty((k, n, d + 1))
-    X[:, :, :d] = configs
-    X[:, :, d] = sizes
-    return fit_ridge_pipeline(
-        X, perfs, ridge_alphas,
-        degree=profile.degree, interaction_only=profile.interaction_only,
-    )
+    The reason is a label, in the order checked: ``"optimizer"``,
+    ``"gradient"``, ``"dim"``, ``"model"``, ``"selector"``,
+    ``"switch_detector"`` or ``"safe_gate"`` — the ``reason`` of the
+    drains' ``service.batch.fallback_sessions`` counter and of lock-step's
+    refusal.
+    """
+    # Both classes call this module's kernels, so they import it first.
+    from .centroid import CentroidLearning
+    from .selectors import SurrogateSelector
 
-
-def stack_models(
-    parts: Sequence[Tuple[BatchedRidgePipeline, int]],
-) -> BatchedRidgePipeline:
-    """One model stack from ``(fitted stack, row)`` pairs of one shape, in order."""
-    first = parts[0][0]
-    return BatchedRidgePipeline(
-        mean=np.stack([model.mean[j] for model, j in parts]),
-        scale=np.stack([model.scale[j] for model, j in parts]),
-        coef=np.stack([model.coef[j] for model, j in parts]),
-        intercept=np.array([model.intercept[j] for model, j in parts]),
-        degree=first.degree,
-        interaction_only=first.interaction_only,
-    )
-
-
-def window_means(
-    model: BatchedRidgePipeline, points: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """``H`` at ``(K, m, d)`` points, each session at its own data size
-    ``sizes[k]``: the ``(K, m)`` predicted times."""
-    k, m, d = points.shape
-    rows = np.empty((k, m, d + 1))
-    rows[:, :, :d] = points
-    rows[:, :, d] = sizes[:, None]
-    return model.predict(rows)
+    if type(optimizer) is not CentroidLearning:
+        return "optimizer"
+    profile = optimizer.update_profile
+    if not isinstance(profile, BatchProfile):
+        return profile
+    selector = optimizer.selector
+    if (
+        type(selector) is not SurrogateSelector
+        or selector.baseline is not None
+        or selector.model_factory is not optimizer.model_factory
+        or type(selector.acquisition) not in _ELEMENTWISE_ACQUISITIONS
+    ):
+        return "selector"
+    if optimizer.switch_detector is not None:
+        return "switch_detector"
+    if optimizer.safe_gate is not None:
+        return "safe_gate"
+    return profile
 
 
 # -- Alg. 1 --------------------------------------------------------------------

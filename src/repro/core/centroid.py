@@ -13,6 +13,15 @@ Each iteration:
 
 A :class:`~repro.core.guardrail.Guardrail` can disable tuning and reinstate
 the default configuration when sustained regressions are predicted.
+
+Steps 4–6 have two implementations.  A session in the update half of the
+batched step's shape rule (:func:`repro.core.batched_step.update_profile`)
+fits ``H`` once per observation with the kernel the lock-step engine and
+the shard drains share, at K=1, and runs ``centroid_step``; its selector
+and safe gate score from that memoized fit.  Every other session runs the
+generic path — a fitted model, :func:`~repro.core.find_best.find_best` and
+:func:`~repro.core.gradient.ml_sign_gradient` or the linear gradient —
+which the tests keep as the reference the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +34,18 @@ from .. import telemetry
 from ..ml.base import Regressor
 from ..ml.linear import PolynomialFeatures, RidgeRegression
 from ..ml.scaler import Pipeline, StandardScaler
+from . import batched_step
+from .batched_step import BatchProfile, centroid_step
 from .candidates import generate_candidates
 from .config_space import ConfigSpace
-from .find_best import FindBestMode, find_best, fit_window_model
+from .find_best import (
+    FindBestMode,
+    find_best,
+    fit_window_model,
+    fit_window_models,
+    memoize_window_model,
+    window_model,
+)
 from .gradient import linear_sign_gradient, ml_sign_gradient
 from .guardrail import Guardrail
 from .observation import Observation, ObservationWindow
@@ -152,6 +170,8 @@ class CentroidLearning(Optimizer):
         self._centroid = space.clip(e0)
         self._last_gradient: Optional[np.ndarray] = None
         self._last_best: Optional[np.ndarray] = None
+        # The update half of the shape rule, probed at the first fit.
+        self._update_profile = None
 
     # -- introspection ----------------------------------------------------------
 
@@ -173,6 +193,20 @@ class CentroidLearning(Optimizer):
     def last_best(self) -> Optional[np.ndarray]:
         """The c* used at the most recent centroid update."""
         return None if self._last_best is None else self._last_best.copy()
+
+    @property
+    def update_profile(self):
+        """The update half of the batched step's shape rule
+        (:func:`~repro.core.batched_step.update_profile`): a
+        :class:`~repro.core.batched_step.BatchProfile` when this session's
+        update runs on the shared kernels at K=1, else the reason it runs
+        the generic path.  Probed once, at the first use."""
+        if self._update_profile is None:
+            self._update_profile = (
+                batched_step.update_profile(self)
+                if type(self) is CentroidLearning else "optimizer"
+            )
+        return self._update_profile
 
     # -- persistence -----------------------------------------------------------------
 
@@ -259,7 +293,7 @@ class CentroidLearning(Optimizer):
             self.safe_gate is not None
             and len(self.observations.window) >= self.safe_gate.min_observations
         ):
-            model = fit_window_model(self.observations, self.model_factory)
+            model = self._window_model()
             candidates = self.safe_gate.apply(
                 candidates, model, data_size, self.space.default_vector()
             )
@@ -346,8 +380,42 @@ class CentroidLearning(Optimizer):
 
     # -- the Alg.-1 update ------------------------------------------------------------
 
+    def _window_model(self):
+        """``H`` on the window, memoized: in the update's shape a K=1 kernel
+        stack, else the generic fit."""
+        profile = self.update_profile
+        if not isinstance(profile, BatchProfile):
+            return fit_window_model(self.observations, self.model_factory)
+        return window_model(
+            self.observations, self.model_factory,
+            lambda: self._kernel_fit(profile)[0],
+        )
+
+    def _kernel_fit(self, profile: BatchProfile):
+        """Fit the window at K=1 and memoize it; returns the model and the
+        window's ``(1, n, ·)`` configs, sizes and performances."""
+        window = self.observations
+        obs = window.window
+        configs = np.array([[o.config for o in obs]])
+        sizes = np.array([[o.data_size for o in obs]])
+        perfs = np.array([[o.performance for o in obs]])
+        model = fit_window_models(
+            configs, sizes, perfs, np.array([profile.alpha]), profile
+        )
+        memoize_window_model(window, self.model_factory, model, 0)
+        return model, configs, sizes, perfs
+
     def _update_centroid(self, latest: Observation) -> None:
         with telemetry.span("centroid.update", iteration=latest.iteration) as tspan:
+            alpha = self.effective_alpha
+            profile = self.update_profile
+            if isinstance(profile, BatchProfile):
+                c_star, delta, centroid = centroid_step(
+                    *self._kernel_fit(profile), np.array([alpha]), profile
+                )
+                self._apply_update(tspan, centroid[0], c_star[0], delta[0], alpha)
+                return
+
             window = self.observations
             model = None
             if self.find_best_mode is FindBestMode.MODEL or self.gradient_mode == "ml":
@@ -362,7 +430,6 @@ class CentroidLearning(Optimizer):
             )
             c_star = best_obs.config
 
-            alpha = self.effective_alpha
             if self.gradient_mode == "ml":
                 delta = ml_sign_gradient(
                     self.space, model, c_star, latest.data_size, alpha, probe=self.probe

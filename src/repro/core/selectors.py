@@ -22,7 +22,8 @@ import numpy as np
 from .. import telemetry
 from ..ml.acquisition import AcquisitionFunction, MeanMinimizer
 from ..ml.base import Regressor
-from .find_best import fit_window_model
+from ..ml.batched import BatchedRidgePipeline
+from .find_best import predict_window_model, window_model
 from .observation import ObservationWindow
 
 __all__ = [
@@ -111,13 +112,19 @@ class SurrogateSelector:
             # Cold start without a baseline: explore the neighborhood.
             return int(rng.integers(0, len(candidates)))
 
-        model = fit_window_model(window, self.model_factory)
-        rows = np.column_stack([candidates, np.full(len(candidates), data_size)])
-        try:
-            mean, std = model.predict_with_std(rows)  # type: ignore[union-attr]
-        except (AttributeError, NotImplementedError):
-            mean = model.predict(rows)
+        # The centroid update's fit when it made one at this window version
+        # (a K=1 kernel stack in its shape), else a fit of this factory.
+        model = window_model(window, self.model_factory)
+        if isinstance(model, BatchedRidgePipeline):
+            mean = predict_window_model(model, candidates, data_size)
             std = np.full(len(candidates), 1e-9)
+        else:
+            rows = np.column_stack([candidates, np.full(len(candidates), data_size)])
+            try:
+                mean, std = model.predict_with_std(rows)  # type: ignore[union-attr]
+            except (AttributeError, NotImplementedError):
+                mean = model.predict(rows)
+                std = np.full(len(candidates), 1e-9)
         best = float(np.min(window.performances()))
         scores = self.acquisition(mean, std, best)
         chosen = int(np.argmax(scores))

@@ -155,6 +155,9 @@ class TuningSession:
         self.fallback_to_default = fallback_to_default
         self.fallback_count = 0
         self.trace = TuningTrace()
+        # The last (plan, embedding) pair: a session that does not drift
+        # runs one plan object every step, so it embeds once.
+        self._embedded: Optional[tuple] = None
 
     def default_true_time(self, scale: float = 1.0) -> float:
         """Noiseless time of the space's default configuration."""
@@ -173,7 +176,7 @@ class TuningSession:
         with telemetry.span("session.step", iteration=t) as tspan:
             scale = self.scale_fn(t)
             scaled_plan = self.plan.scaled(scale) if scale != 1.0 else self.plan
-            embedding = self.embedder.embed(scaled_plan) if self.embedder else None
+            embedding = self._embed(scaled_plan) if self.embedder else None
             # The compile-time cardinality estimate stands in for the (unknown)
             # actual input size when scoring candidates.
             estimated_size = max(scaled_plan.total_leaf_cardinality, 1.0)
@@ -230,6 +233,18 @@ class TuningSession:
                     tspan.set_attr("switch_count", detector.switch_count)
                     tspan.set_attr("switch_statistic", detector.statistic)
             return record
+
+    def _embed(self, plan: PhysicalPlan) -> np.ndarray:
+        """``plan``'s embedding, computed once per plan object.
+
+        A drifting session builds a new scaled copy each step, so it embeds
+        each step.  The array is read-only: every observation shares it.
+        """
+        if self._embedded is None or self._embedded[0] is not plan:
+            embedding = np.array(self.embedder.embed(plan), dtype=float)
+            embedding.flags.writeable = False
+            self._embedded = (plan, embedding)
+        return self._embedded[1]
 
     def run(self, n_iterations: int) -> TuningTrace:
         """Run ``n_iterations`` steps and return the trace."""

@@ -56,6 +56,7 @@ from typing import List, Optional
 import numpy as np
 
 from .. import telemetry
+from .find_best import predict_window_model
 
 __all__ = [
     "SwitchDecision",
@@ -352,14 +353,13 @@ class SafeExplorationGate:
         """Return the safe subset of ``candidates`` (or the default row).
 
         ``model`` is the window model ``H(c, p)`` — the exact (memoized)
-        fit the selector scores with, so the gate adds no extra fits.
+        fit the selector scores with, so the gate adds no extra fits: a
+        fitted Regressor, or in the update's shape a K=1 kernel stack.
         """
         m = len(candidates)
-        rows = np.column_stack([
-            np.vstack([candidates, default_vector[None, :]]),
-            np.full(m + 1, data_size),
-        ])
-        preds = model.predict(rows)
+        preds = predict_window_model(
+            model, np.vstack([candidates, default_vector[None, :]]), data_size
+        )
         mask = self.safe_mask(preds[:m], preds[m])
         if not mask.any():
             telemetry.counter("safe.fallbacks").inc()

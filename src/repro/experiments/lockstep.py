@@ -73,6 +73,7 @@ from ..core.centroid import CentroidLearning
 from ..core.guardrail import Guardrail
 from ..core.observation import Observation
 from ..core.session import IterationRecord, TuningSession, TuningTrace
+from ..ml.acquisition import AcquisitionFunction
 from ..ml.batched import BatchedRidgePipeline, ols_predict, polynomial_features_batch
 
 __all__ = [
@@ -128,9 +129,10 @@ class _Uniform:
     n_candidates: int
     min_update_obs: int
     sel_min_obs: int
-    # Session 0's profile: its window-model shape, FIND_BEST mode, probe,
-    # acquisition and space geometry are the population's.
+    # Session 0's profile and acquisition: its window-model shape, FIND_BEST
+    # mode, probe, acquisition and space geometry are the population's.
     profile: BatchProfile
+    acquisition: AcquisitionFunction
     # Session 0's guardrail: the stacked trend solve's fit_window.
     guardrail: Optional[Guardrail]
 
@@ -289,7 +291,7 @@ class LockstepSessions:
                 opt.space, opt.observations.window_size, opt.n_candidates,
                 opt.min_update_observations, opt.selector.min_observations,
                 (profile.degree, profile.interaction_only),
-                profile.find_best_mode, profile.probe, profile.acquisition,
+                profile.find_best_mode, profile.probe, opt.selector.acquisition,
                 None if g is None else (
                     g.min_iterations, g.threshold, g.patience, g.fit_window,
                     g.cooldown,
@@ -330,6 +332,7 @@ class LockstepSessions:
             min_update_obs=first.min_update_observations,
             sel_min_obs=first.selector.min_observations,
             profile=profiles[0],
+            acquisition=first.selector.acquisition,
             guardrail=first.guardrail,
         )
         return uniform, np.array([profile.alpha for profile in profiles])
@@ -492,7 +495,7 @@ class LockstepSessions:
                     self._models_for(act, version=t), cands, est_sizes[act]
                 )
                 best = np.min(self._perfs[act, t - n_w : t], axis=1)
-                scores = acquisition_scores(p.acquisition, mean, best[:, None])
+                scores = acquisition_scores(u.acquisition, mean, best[:, None])
                 chosen = np.argmax(scores, axis=1)
                 vectors[act] = cands[np.arange(act.size), chosen]
         self._vectors[:, t] = vectors

@@ -13,9 +13,9 @@ engine calls too; this module keeps the per-session work around them:
 * gathering windows, and stacking only sessions with one window (or
   candidate-set) length and one :attr:`BatchProfile.key` — each session's
   own acquisition then scores its row, since acquisitions are elementwise;
-* the window-model memo at ``window.__dict__["_batched_window_model"]``,
-  keyed by the window's append version (the invalidation rule of
-  :func:`repro.core.find_best.fit_window_model`): one fit per observation;
+* the window-model memo of :mod:`repro.core.find_best`, the one the scalar
+  selector and update read and write, keyed by the window's append version
+  and the optimizer's model factory: one fit per observation;
 * each session's RNG draws and spans, in the scalar order.
 
 The step's bookkeeping is the session's own
@@ -49,12 +49,11 @@ from ..core.batched_step import (
     window_means,
 )
 from ..core.candidates import draw_candidates
+from ..core.find_best import memoize_window_model, memoized_window_model
 from ..core.observation import ObservationWindow
 from .sessions import TenantSession, TenantSessionHost, UNPROBED
 
 __all__ = ["BatchProfile", "apply_scalar", "execute_run"]
-
-_MODEL_ATTR = "_batched_window_model"
 
 
 def _groups(
@@ -83,8 +82,8 @@ def _fit(
         np.array([session.batch_profile.alpha for session in sessions]),
         sessions[0].batch_profile,
     )
-    for j, window in enumerate(windows):
-        window.__dict__[_MODEL_ATTR] = (window.version, fitted, j)
+    for j, (session, window) in enumerate(zip(sessions, windows)):
+        memoize_window_model(window, session.optimizer.model_factory, fitted, j)
     return fitted, (configs, sizes, perfs)
 
 
@@ -200,9 +199,12 @@ def _run_suggests(items: Sequence[Tuple[TenantSession, object]]) -> None:
     means: list = [None] * len(warm)
     for members in _groups(sessions, lengths):
         group = [windows[i] for i in members]
-        memos = [w.__dict__.get(_MODEL_ATTR) for w in group]
-        if all(m is not None and m[0] == w.version for m, w in zip(memos, group)):
-            model = stack_models([memo[1:] for memo in memos])
+        memos = [
+            memoized_window_model(windows[i], sessions[i].optimizer.model_factory)
+            for i in members
+        ]
+        if all(memo is not None and memo[1] is not None for memo in memos):
+            model = stack_models(memos)
         else:  # refitting a fresh member reproduces its memo bit for bit
             model, _ = _fit([sessions[i] for i in members], group)
         group_means = window_means(

@@ -309,17 +309,25 @@ class CostModel:
                 cost = 0.5 * rows / cpu_rate_cores
             per_op[op.op_id] = cost
 
-        total = sum(per_op.values()) + p.fixed_query_overhead_s
+        # Every total here is folded in order from 0.0, as the batch kernel
+        # adds its columns: the builtin sum() compensates float rounding
+        # since Python 3.12, which would break the bitwise contract.
+        total = 0.0
+        for cost in per_op.values():
+            total += cost
+        total += p.fixed_query_overhead_s
         if data_scale == 1.0:
             metrics["input_bytes"] = plan.total_input_bytes
             metrics["input_rows"] = plan.total_leaf_cardinality
         else:
             # Leaf sums in leaf order at the scale, as a scaled copy sums them.
-            leaves = plan.leaves
-            metrics["input_bytes"] = float(
-                sum((op.est_rows_in * data_scale) * op.row_bytes for op in leaves)
-            )
-            metrics["input_rows"] = float(sum(op.est_rows_in * data_scale for op in leaves))
+            input_bytes = input_rows = 0.0
+            for op in plan.leaves:
+                rows = op.est_rows_in * data_scale
+                input_bytes += rows * op.row_bytes
+                input_rows += rows
+            metrics["input_bytes"] = float(input_bytes)
+            metrics["input_rows"] = float(input_rows)
         return CostBreakdown(total_seconds=total, per_operator=per_op, metrics=metrics)
 
     # The scalar kernel's former name; the end-to-end benchmark's cost check

@@ -129,10 +129,16 @@ class PhysicalPlan:
         self._set_leaf_totals()
 
     def _set_leaf_totals(self) -> None:
-        """Sum leaf rows and bytes in leaf order (the order every copy shares)."""
-        leaves = [self._ops[n] for n in self._leaf_ids]
-        self._total_leaf_cardinality = float(sum(op.est_rows_in for op in leaves))
-        self._total_input_bytes = float(sum(op.bytes_in for op in leaves))
+        """Sum leaf rows and bytes in leaf order (the order every copy shares),
+        folded from 0.0 as the batch kernels add them — not with the builtin
+        sum(), which compensates float rounding since Python 3.12."""
+        rows = input_bytes = 0.0
+        for n in self._leaf_ids:
+            op = self._ops[n]
+            rows += op.est_rows_in
+            input_bytes += op.bytes_in
+        self._total_leaf_cardinality = float(rows)
+        self._total_input_bytes = float(input_bytes)
 
     # -- accessors --------------------------------------------------------------
 

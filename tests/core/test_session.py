@@ -124,3 +124,61 @@ class TestTuningSession:
         )
         trace = session.run(30)
         assert trace.best_true_so_far()[-1] < session.default_true_time()
+
+
+class _CountingEmbedder(WorkloadEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.plans = []
+
+    def embed(self, plan):
+        self.plans.append(plan)
+        return super().embed(plan)
+
+
+class _EmbedEveryStep(TuningSession):
+    """The reference: embed on every step, as before the per-plan memo."""
+
+    def _embed(self, plan):
+        return self.embedder.embed(plan)
+
+
+class TestEmbeddingMemo:
+    @pytest.mark.parametrize("scale_fn", [None, lambda t: 1.0 + 0.05 * t],
+                             ids=["steady", "drifting"])
+    def test_one_embed_per_plan_object_and_the_same_trail(self, q3_plan, scale_fn):
+        from repro.verify.diff import session_trail, twin_run
+
+        space = query_level_space()
+        embedders = []
+
+        def arm(session_type):
+            def run():
+                embedder = _CountingEmbedder()
+                embedders.append(embedder)
+                optimizer = CentroidLearning(space, seed=3)
+                session = session_type(
+                    q3_plan, SparkSimulator(noise=low_noise(), seed=4), optimizer,
+                    embedder=embedder, scale_fn=scale_fn,
+                )
+                return [session.run(12)], [optimizer]
+            return run
+
+        report = twin_run("embedding_memo", arm(TuningSession), arm(_EmbedEveryStep),
+                          session_trail, ignore_counters=())
+        assert report.equivalent, report.summary()
+        memo, reference = embedders
+        assert len(reference.plans) == 12
+        assert len(memo.plans) == len({id(p) for p in reference.plans})
+        if scale_fn is None:
+            assert memo.plans == [q3_plan]
+        else:
+            assert len(memo.plans) == 12
+
+    def test_shared_embedding_is_read_only(self, session):
+        session.run(3)
+        embeddings = {id(o.embedding) for o in session.optimizer.observations.history}
+        assert len(embeddings) == 1
+        embedding = session.optimizer.observations.latest.embedding
+        with pytest.raises(ValueError):
+            embedding[0] = 1.0

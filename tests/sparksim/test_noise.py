@@ -84,3 +84,31 @@ def test_noise_bounds_property(g0, fl, sl, seed):
     g = model.apply(g0, np.random.default_rng(seed))
     assert g >= g0
     assert np.isfinite(g)
+
+
+class TestDrawCalls:
+    """``apply`` draws with ``standard_normal``/``random``; the values and
+    the generator's final state equal NumPy's ``normal(0, FL)``/``uniform()``
+    formula it replaced."""
+
+    @staticmethod
+    def _reference(model, g0, rng):
+        fl = model.fluctuation_level
+        eps = rng.normal(0.0, fl) if fl > 0 else 0.0
+        g = g0 * (1.0 + abs(eps))
+        if rng.uniform() <= model.spike_probability:
+            g *= 2.0
+        return g
+
+    @pytest.mark.parametrize("fl", [0.0, 0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("sl", [0.0, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_apply_equals_the_normal_uniform_formula(self, fl, sl, seed):
+        model = NoiseModel(fluctuation_level=fl, spike_level=sl)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        baselines = np.random.default_rng(seed + 1).uniform(0.0, 50.0, size=400)
+        baselines[:3] = [0.0, 1.0, 1e-300]
+        got = [model.apply(float(g0), got_rng) for g0 in baselines]
+        want = [self._reference(model, float(g0), want_rng) for g0 in baselines]
+        assert np.array_equal(np.array(got), np.array(want))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
